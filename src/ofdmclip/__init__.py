@@ -4,7 +4,6 @@ Iterative clipping-and-filtering and peak windowing for crest-factor
 reduction, with Monte Carlo CCDF and AWGN symbol-error-rate measurement.
 """
 
-from ._kernels import BACKEND, USE_NUMBA
 from .channel import SerPoint, awgn, measure_ser
 from .crest import (ClipConfig, ClipReport, STRATEGIES, clip, oob_filter,
                     peak_window_suppress, rcf, threshold_from_ratio)
@@ -21,7 +20,7 @@ from .windows import (DEFAULT_KAISER_BETA, WINDOW_NAMES, WindowKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "USE_NUMBA", "__version__",
+    "__version__",
     "OfdmConfig", "synthesize", "analyze", "embed_spectrum", "extract_inband",
     "Constellation", "SUPPORTED_ORDERS", "constellation", "map_bits", "demap_points",
     "WindowKind", "WINDOW_NAMES", "DEFAULT_KAISER_BETA", "window", "bessel_i0",

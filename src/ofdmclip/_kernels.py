@@ -1,118 +1,87 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: peak-window suppression, nearest-point demapping and
+per-row PAPR, vectorized in numpy over a batch of rows.
 
-The numba lane (``@njit`` compiled, disk-cached) is used when numba imports
-and the environment variable ``OFDMCLIP_NO_NUMBA`` is unset; otherwise the
-pure-numpy lane is used.  Both lanes implement identical arithmetic: the
-peak-suppression and demapping kernels are bit-identical across lanes, the
-PAPR kernel agrees to the last few ulps (summation order differs).
-
-Magnitude masks are always computed by the *caller* with ``np.abs`` —
-numba's scalar ``abs(complex)`` differs from the ``np.abs`` ufunc by one
-ulp on some inputs, which would break bit-exact clip idempotence.
+Magnitude masks are always computed by the *caller* with ``np.abs`` and
+passed in, so the same magnitudes decide clipping, peak detection and the
+over-threshold counts.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("OFDMCLIP_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-USE_NUMBA = _HAVE_NUMBA and not _numba_disabled_by_env()
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # peak-window suppression
 #
-# For each row: scan |x| for local maxima above the row threshold (strictly
-# greater than both neighbours; first sample of a plateau; boundary samples
-# need only one neighbour), accumulate depth-weighted window coefficients
-# into an envelope b, then apply the gain 1 - min(b, 1) to every sample.
-# Peaks are accumulated in ascending index order in both lanes so the
-# envelopes are bit-identical.
+# For each row: find the local maxima of |x| above the row threshold
+# (strictly greater than the left neighbour, or at sample 0; on a plateau
+# only its first sample, and only if the sample after the plateau is lower
+# or the plateau reaches the row end), and add depth * w[d] at sample
+# peak - half + d for each peak with depth 1 - a/|x|.  The envelope b is
+# capped at 1 and the gain 1 - min(b, 1) scales every sample.
+#
+# The window offsets d run from W-1 down to 0, so every b[idx] receives its
+# peaks in ascending peak index: the float sums equal those of a scalar loop
+# that adds one whole window per peak, peak by peak.  For one d all targets
+# are distinct, so a fancy-indexed += adds each term once.
 # ---------------------------------------------------------------------------
 
-def _peak_suppress_np(x, mag, thresh, w):
-    n_rows, n = x.shape
-    n_win = w.size
-    half = (n_win - 1) // 2
-    y = np.empty_like(x)
-    for r in range(n_rows):
-        m = mag[r]
-        a = thresh[r]
-        b = np.zeros(n)
-        rising = np.empty(n, dtype=bool)
-        rising[0] = True
-        rising[1:] = m[1:] > m[:-1]
-        for i in np.flatnonzero((m > a) & rising):
-            j = i
-            while j + 1 < n and m[j + 1] == m[i]:
-                j += 1
-            if j + 1 < n and m[j + 1] >= m[i]:
-                continue
-            depth = 1.0 - a / m[i]
-            lo = max(0, i - half)
-            hi = min(n, i + half + 1)
-            b[lo:hi] += depth * w[lo - (i - half):n_win - (i + half + 1 - hi)]
-        y[r] = x[r] * (1.0 - np.minimum(b, 1.0))
-    return y
+_PEAK_BLOCK = 16384  # samples per block of rows; bounds the temporaries
 
 
-def _peak_suppress_loop(x, mag, thresh, w):
-    n_rows, n = x.shape
-    n_win = w.size
-    half = (n_win - 1) // 2
+def _peaks(m, a):
+    """(rows, cols) of the peaks in the magnitude block ``m``."""
+    n = m.shape[1]
+    cand = m > a[:, None]
+    cand[:, 1:] &= m[:, 1:] > m[:, :-1]
+    # Key of a plateau's last sample: 2 * index + (next sample higher).  A
+    # reversed running minimum hands that key to every sample of the plateau.
+    key = np.full(m.shape, 2 * n)
+    np.copyto(key[:, :-1], 2 * np.arange(n - 1) + (m[:, 1:] >= m[:, :-1]),
+              where=m[:, 1:] != m[:, :-1])
+    key[:, -1] = 2 * (n - 1)
+    key = np.minimum.accumulate(key[:, ::-1], axis=1)[:, ::-1]
+    return np.nonzero(cand & ((key & 1) == 0))
+
+
+def _peak_block(x, m, a, w):
+    n = m.shape[1]
+    half = (w.size - 1) // 2
+    rows, cols = _peaks(m, a)
+    depth = 1.0 - a[rows] / m[rows, cols]
+    # each row padded by `pad` on both sides so no shifted peak leaves its row
+    pad = min(half, n - 1)
+    b = np.zeros((m.shape[0], n + 2 * pad))
+    flat = b.ravel()
+    at = rows * (n + 2 * pad) + cols + pad
+    for d in range(w.size - 1, -1, -1):
+        s = d - half
+        if abs(s) < n:
+            flat[at + s] += depth * w[d]
+    return x * (1.0 - np.minimum(b[:, pad:pad + n], 1.0))
+
+
+def peak_suppress(x, mag, thresh, w):
+    """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
+    thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
     y = np.empty_like(x)
-    for r in range(n_rows):
-        a = thresh[r]
-        b = np.zeros(n)
-        i = 0
-        while i < n:
-            m = mag[r, i]
-            if m <= a or (i > 0 and mag[r, i - 1] >= m):
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and mag[r, j + 1] == m:
-                j += 1
-            if j == n - 1 or mag[r, j + 1] < m:
-                depth = 1.0 - a / m
-                lo = i - half
-                for d in range(n_win):
-                    idx = lo + d
-                    if 0 <= idx < n:
-                        b[idx] += depth * w[d]
-            i = j + 1
-        for idx in range(n):
-            env = b[idx] if b[idx] < 1.0 else 1.0
-            y[r, idx] = x[r, idx] * (1.0 - env)
+    step = max(1, _PEAK_BLOCK // max(1, x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        hi = lo + step
+        y[lo:hi] = _peak_block(x[lo:hi], mag[lo:hi], thresh[lo:hi], w)
     return y
 
 
 # ---------------------------------------------------------------------------
 # nearest-constellation-point demapping
 #
-# Squared distances are computed component-wise (not via |.|) so the numpy
-# and numba lanes produce identical floats; ties resolve to the lowest
-# constellation index in both (first strict improvement wins).
+# Squared distances are computed component-wise (not via |.|); ties resolve
+# to the lowest constellation index (argmin returns the first minimum).
 # ---------------------------------------------------------------------------
 
 _DEMAP_BLOCK = 8192
 
 
-def _nearest_labels_np(points, constellation):
+def nearest_labels(points, constellation):
     points = points.ravel()
     out = np.empty(points.size, dtype=np.int64)
     cre = constellation.real[None, :]
@@ -124,74 +93,10 @@ def _nearest_labels_np(points, constellation):
     return out
 
 
-def _nearest_labels_loop(points, constellation):
-    points = points.ravel()
-    n = points.size
-    n_const = constellation.size
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        pr = points[i].real
-        pi = points[i].imag
-        best = 0
-        best_d = (pr - constellation[0].real) ** 2 + (pi - constellation[0].imag) ** 2
-        for m in range(1, n_const):
-            d = (pr - constellation[m].real) ** 2 + (pi - constellation[m].imag) ** 2
-            if d < best_d:
-                best_d = d
-                best = m
-        out[i] = best
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-row PAPR in dB
 # ---------------------------------------------------------------------------
 
-def _papr_db_rows_np(x):
+def papr_db_rows(x):
     p = x.real ** 2 + x.imag ** 2
     return 10.0 * np.log10(p.max(axis=1) * x.shape[1] / p.sum(axis=1))
-
-
-def _papr_db_rows_loop(x):
-    n_rows, n = x.shape
-    out = np.empty(n_rows)
-    for r in range(n_rows):
-        peak = 0.0
-        total = 0.0
-        for i in range(n):
-            p = x[r, i].real ** 2 + x[r, i].imag ** 2
-            total += p
-            if p > peak:
-                peak = p
-        out[r] = 10.0 * np.log10(peak * n / total)
-    return out
-
-
-if _HAVE_NUMBA:
-    _peak_suppress_nb = njit(cache=True)(_peak_suppress_loop)
-    _nearest_labels_nb = njit(cache=True)(_nearest_labels_loop)
-    _papr_db_rows_nb = njit(cache=True)(_papr_db_rows_loop)
-else:  # pragma: no cover
-    _peak_suppress_nb = None
-    _nearest_labels_nb = None
-    _papr_db_rows_nb = None
-
-if USE_NUMBA:
-    peak_suppress = _peak_suppress_nb
-    nearest_labels = _nearest_labels_nb
-    papr_db_rows = _papr_db_rows_nb
-else:
-    peak_suppress = _peak_suppress_np
-    nearest_labels = _nearest_labels_np
-    papr_db_rows = _papr_db_rows_np
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active lane on tiny inputs."""
-    x = np.array([[0.1 + 0.1j, 2.0 + 0.0j, 0.1 - 0.1j, 0.2 + 0.0j]])
-    mag = np.abs(x)
-    thresh = np.array([1.0])
-    w = np.array([0.5, 1.0, 0.5])
-    peak_suppress(x, mag, thresh, w)
-    nearest_labels(x.ravel(), np.array([1 + 0j, -1 + 0j]))
-    papr_db_rows(x)

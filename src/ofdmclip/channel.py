@@ -32,8 +32,10 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
 
     Noise variance is mean|x|^2 / 10**(snr_db/10) per complex sample, split
     evenly between the real and imaginary parts.  Deterministic in
-    (seed, stream); snr_db=inf is the no-noise mode.
+    (seed, stream); snr_db=inf is the no-noise mode, NaN and -inf raise
+    ValueError.
     """
+    simulate._check_snr(snr_db)
     signal = np.asarray(signal, dtype=np.complex128)
     power = np.mean(np.abs(signal) ** 2)
     if power == 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from .crest import ClipConfig, STRATEGIES
 from .metrics import ccdf_point_db, default_threshold_grid, estimate_ccdf
 from .modulation import SUPPORTED_ORDERS
-from .simulate import papr_samples, ser_errors
+from .simulate import _check_seed, papr_samples, ser_errors
 from .transform import OfdmConfig
 from .windows import WINDOW_NAMES, WindowKind
 
@@ -106,8 +106,7 @@ def _configs(args, parser, strategy=None, window_name=None):
                               kind, args.window_len)
         if args.symbols < 1:
             raise ValueError(f"--symbols must be >= 1, got {args.symbols}")
-        if not 0 <= args.seed < 2 ** 64:
-            raise ValueError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+        _check_seed(args.seed)
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
     except ValueError as exc:
@@ -142,6 +141,10 @@ def _run_ccdf(args, parser) -> None:
 
 
 def _snr_grid(args, parser) -> np.ndarray:
+    for flag in ("start", "stop", "step"):
+        value = getattr(args, "snr_" + flag)
+        if not np.isfinite(value):
+            parser.error(f"--snr-{flag} must be finite, got {value}")
     if args.snr_step <= 0:
         parser.error(f"--snr-step must be positive, got {args.snr_step}")
     n_steps = int(np.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9)) + 1

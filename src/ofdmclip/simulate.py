@@ -33,6 +33,12 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_snr(snr_db: float) -> None:
+    """NaN and -inf have no noise level; +inf is the no-noise mode."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+
+
 def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
     """Independent generator for one (seed, stream kind, symbol index)."""
     return np.random.default_rng(
@@ -120,5 +126,6 @@ def ser_errors(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
     if n_symbols < 1:
         raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
     _check_seed(seed)
+    _check_snr(snr_db)
     tasks = [(ofdm, clip_cfg, snr_db, seed, lo, hi) for lo, hi in _chunk_bounds(n_symbols)]
     return sum(_run_chunks(_ser_chunk, tasks, workers))

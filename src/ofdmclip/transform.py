@@ -23,6 +23,11 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_length(n: int, what: str) -> None:
+    if not (_is_pow2(n) and n >= 2):
+        raise ValueError(f"{what} must be a power of two >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class OfdmConfig:
     """Static OFDM dimensions: subcarrier count, oversampling, modulation."""
@@ -32,9 +37,7 @@ class OfdmConfig:
     mod_order: int = 8
 
     def __post_init__(self):
-        n = self.n_subcarriers
-        if not (_is_pow2(n) and n >= 2):
-            raise ValueError(f"n_subcarriers must be a power of two >= 2, got {n}")
+        _check_length(self.n_subcarriers, "n_subcarriers")
         if self.oversample not in _OVERSAMPLE_CHOICES:
             raise ValueError(
                 f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {self.oversample}")
@@ -48,8 +51,7 @@ def embed_spectrum(bins: np.ndarray, oversample: int) -> np.ndarray:
     """Place N symbol bins into the in-band slots of an N*oversample spectrum."""
     bins = np.asarray(bins, dtype=np.complex128)
     n = bins.shape[-1]
-    if not (_is_pow2(n) and n >= 2):
-        raise ValueError(f"symbol length must be a power of two >= 2, got {n}")
+    _check_length(n, "symbol length")
     if oversample not in _OVERSAMPLE_CHOICES:
         raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {oversample}")
     total = n * oversample
@@ -82,7 +84,5 @@ def synthesize(symbol: np.ndarray, oversample: int = 1) -> np.ndarray:
 def analyze(signal: np.ndarray) -> np.ndarray:
     """Forward transform back to the (oversampled) spectrum."""
     signal = np.asarray(signal, dtype=np.complex128)
-    n = signal.shape[-1]
-    if not (_is_pow2(n) and n >= 2):
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+    _check_length(signal.shape[-1], "signal length")
     return np.fft.fft(signal, norm="ortho", axis=-1)

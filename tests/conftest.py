@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from ofdmclip import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens here so timed tests measure steady-state speed
-    _kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

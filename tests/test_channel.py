@@ -99,3 +99,8 @@ def test_invalid_args():
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 10, seed=-1)
+    for snr_db in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError):
+            measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
+        with pytest.raises(ValueError):
+            awgn(carrier(), snr_db, seed=1)

@@ -131,6 +131,9 @@ def test_usage_errors_exit_2(tmp_path):
         ["ccdf", "--n", "48"],
         ["ccdf", "--symbols", "0"],
         ["ser", "--snr-step", "-1"],
+        ["ser", "--snr-start", "nan"],
+        ["ser", "--snr-step", "nan"],
+        ["ser", "--snr-stop", "inf"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:

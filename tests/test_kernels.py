@@ -1,52 +1,104 @@
-"""Cross-lane agreement between the numba and pure-numpy kernel backends."""
+"""`peak_suppress` against its scalar reference, bit for bit, and kernel edge cases."""
 import numpy as np
 import pytest
 
 from ofdmclip import _kernels
 from ofdmclip.windows import window
 
-numba_missing = _kernels._peak_suppress_nb is None
-needs_numba = pytest.mark.skipif(numba_missing, reason="numba unavailable")
+
+def peak_suppress_loop(x, mag, thresh, w):
+    """Scalar reference for ``_kernels.peak_suppress``: one row at a time,
+    one peak at a time, each window added whole in ascending sample order."""
+    n_rows, n = x.shape
+    n_win = w.size
+    half = (n_win - 1) // 2
+    y = np.empty_like(x)
+    for r in range(n_rows):
+        a = thresh[r]
+        b = np.zeros(n)
+        i = 0
+        while i < n:
+            m = mag[r, i]
+            if m <= a or (i > 0 and mag[r, i - 1] >= m):
+                i += 1
+                continue
+            j = i
+            while j + 1 < n and mag[r, j + 1] == m:
+                j += 1
+            if j == n - 1 or mag[r, j + 1] < m:
+                depth = 1.0 - a / m
+                lo = i - half
+                for d in range(n_win):
+                    idx = lo + d
+                    if 0 <= idx < n:
+                        b[idx] += depth * w[d]
+            i = j + 1
+        for idx in range(n):
+            env = b[idx] if b[idx] < 1.0 else 1.0
+            y[r, idx] = x[r, idx] * (1.0 - env)
+    return y
 
 
 def batch(rng, rows=20, n=256, scale=1.2):
     return scale * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
 
 
-def test_backend_flag_consistency():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.USE_NUMBA == (_kernels.BACKEND == "numba")
+def with_phases(rng, mag):
+    return mag * np.exp(1j * rng.uniform(0.0, 2 * np.pi, mag.shape))
 
 
-@needs_numba
-@pytest.mark.parametrize("win_name,win_len", [("hann", 11), ("rect", 1), ("flattop", 31)])
-def test_peak_suppress_lanes_bit_identical(rng, win_name, win_len):
+def case_random_rows(rng):
+    x = batch(rng, rows=50)
+    return x, rng.uniform(0.8, 2.0, 50), window("hann", 11)
+
+
+def case_quantized_plateaus(rng):
+    q = rng.integers(0, 4, (300, 24)).astype(float)
+    q[::3, :3] = 3.0   # plateau starting at sample 0
+    q[1::3, -3:] = 3.0  # plateau reaching sample n-1
+    return with_phases(rng, q), rng.uniform(0.5, 2.5, 300), window("hamming", 7)
+
+
+def case_boundary_peaks(rng):
+    m = np.ones((3, 16))
+    m[0, 0] = m[0, -1] = 4.0
+    m[1, :2] = m[1, -2:] = 4.0
+    m[2, 0], m[2, 1], m[2, -1], m[2, -2] = 4.0, 3.0, 4.0, 3.0
+    return with_phases(rng, m), np.full(3, 2.0), window("hann", 5)
+
+
+def case_window_longer_than_row(rng):
+    return batch(rng, rows=40, n=4, scale=2.0), np.full(40, 1.0), window("hann", 11)
+
+
+def case_rect_1(rng):
+    return batch(rng), np.full(20, 1.3), window("rect", 1)
+
+
+def case_flattop(rng):
+    w = window("flattop", 31)
+    assert (w < 0).any()  # 0 * w[d] < 0 gives -0.0 wherever there is no peak
     x = batch(rng)
+    x[:, ::7] = 0.0
+    return x, np.full(20, 1.3), w
+
+
+def case_many_blocks(rng):
+    rows = 2 * (_kernels._PEAK_BLOCK // 256) + 3
+    return batch(rng, rows=rows), rng.uniform(1.0, 1.6, rows), window("kaiser", 9)
+
+
+@pytest.mark.parametrize("make", [
+    case_random_rows, case_quantized_plateaus, case_boundary_peaks,
+    case_window_longer_than_row, case_rect_1, case_flattop, case_many_blocks,
+], ids=lambda f: f.__name__[5:])
+def test_peak_suppress_matches_scalar_loop(rng, make):
+    x, thresh, w = make(rng)
     mag = np.abs(x)
-    thresh = np.full(x.shape[0], 1.0)
-    w = window(win_name, win_len)
-    assert np.array_equal(
-        _kernels._peak_suppress_nb(x, mag, thresh, w),
-        _kernels._peak_suppress_np(x, mag, thresh, w))
-
-
-@needs_numba
-def test_nearest_labels_lanes_identical(rng):
-    from ofdmclip import constellation
-    pts = batch(rng, rows=4, n=4096, scale=1.0).ravel()
-    for m in (2, 8, 64):
-        const = constellation(m).points
-        assert np.array_equal(
-            _kernels._nearest_labels_nb(pts, const),
-            _kernels._nearest_labels_np(pts, const))
-
-
-@needs_numba
-def test_papr_lanes_agree(rng):
-    x = batch(rng, rows=200)
-    a = _kernels._papr_db_rows_nb(x)
-    b = _kernels._papr_db_rows_np(x)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    y = _kernels.peak_suppress(x, mag, thresh, w)
+    ref = peak_suppress_loop(x, mag, thresh, w)
+    assert np.array_equal(y, ref)
+    assert y.tobytes() == ref.tobytes()
 
 
 def test_nearest_labels_tie_prefers_lowest_index():
