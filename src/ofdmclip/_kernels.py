@@ -64,7 +64,9 @@ def peak_suppress(x, mag, thresh, w):
     """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
     thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
     y = np.empty_like(x)
-    step = max(1, _PEAK_BLOCK // max(1, x.shape[1]))
+    if x.shape[1] == 0:
+        return y
+    step = max(1, _PEAK_BLOCK // x.shape[1])
     for lo in range(0, x.shape[0], step):
         hi = lo + step
         y[lo:hi] = _peak_block(x[lo:hi], mag[lo:hi], thresh[lo:hi], w)

@@ -33,10 +33,12 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     Noise variance is mean|x|^2 / 10**(snr_db/10) per complex sample, split
     evenly between the real and imaginary parts.  Deterministic in
     (seed, stream); snr_db=inf is the no-noise mode, NaN and -inf raise
-    ValueError.
+    ValueError, and so does a signal with NaN or inf samples.
     """
     simulate._check_snr(snr_db)
     signal = np.asarray(signal, dtype=np.complex128)
+    if not np.isfinite(signal).all():
+        raise ValueError("signal must be finite (no NaN or inf samples)")
     power = np.mean(np.abs(signal) ** 2)
     if power == 0.0:
         raise ValueError("SNR is undefined for an all-zero signal")
@@ -44,8 +46,7 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
         return signal.copy()
     sigma2 = power / 10.0 ** (snr_db / 10.0)
     g = simulate.noise_rng(seed, stream).standard_normal((signal.size, 2))
-    noise = ((g[:, 0] + 1j * g[:, 1]) * np.sqrt(sigma2 / 2.0)).reshape(signal.shape)
-    return signal + noise
+    return signal + simulate._complex_noise(g, sigma2).reshape(signal.shape)
 
 
 def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,

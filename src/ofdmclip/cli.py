@@ -27,6 +27,9 @@ ENV_PREFIX = "OFDMCLIP_"
 
 SWEEP_WINDOWS = ("kaiser", "blackman", "hann", "hamming", "flattop")
 
+# Longest SNR grid ``ser`` accepts; every point is a full SER count.
+MAX_SNR_POINTS = 1000
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -147,32 +150,37 @@ def _snr_grid(args, parser) -> np.ndarray:
             parser.error(f"--snr-{flag} must be finite, got {value}")
     if args.snr_step <= 0:
         parser.error(f"--snr-step must be positive, got {args.snr_step}")
-    n_steps = int(np.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9)) + 1
+    # a float until checked: a tiny step gives more points than an int64 holds
+    n_steps = np.floor((args.snr_stop - args.snr_start) / args.snr_step + 1e-9) + 1
     if n_steps < 1:
         parser.error(f"empty SNR grid: start {args.snr_start} > stop {args.snr_stop}")
-    return args.snr_start + args.snr_step * np.arange(n_steps)
+    if n_steps > MAX_SNR_POINTS:
+        parser.error(f"--snr-step {args.snr_step:g} gives {n_steps:.4g} SNR points; "
+                     f"at most {MAX_SNR_POINTS} are allowed")
+    return args.snr_start + args.snr_step * np.arange(int(n_steps))
 
 
 def _run_ser(args, parser) -> None:
     grid = _snr_grid(args, parser)
     ofdm, clip_cfg = _configs(args, parser)
+    errors = ser_errors(ofdm, clip_cfg, grid, args.symbols, args.seed, args.workers)
+    sent = args.symbols * ofdm.n_subcarriers
     lines = ["snr_db,symbols,errors,ser"]
-    for snr in grid:
-        errors = ser_errors(ofdm, clip_cfg, snr, args.symbols, args.seed, args.workers)
-        sent = args.symbols * ofdm.n_subcarriers
-        lines.append(f"{snr:g},{sent},{errors},{errors / sent:.6e}")
+    lines += [f"{snr:g},{sent},{e},{e / sent:.6e}" for snr, e in zip(grid, errors.tolist())]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({grid.size} SNR points)")
 
 
 def _run_window_sweep(args, parser) -> None:
-    lines = ["window,mean_papr_db,ccdf3_papr_db"]
-    for name in SWEEP_WINDOWS:
-        ofdm, clip_cfg = _configs(args, parser, strategy="pw", window_name=name)
-        samples = papr_samples(ofdm, clip_cfg, args.symbols, args.seed, args.workers)
-        lines.append(f"{name},{samples.mean():.6f},{ccdf_point_db(samples):.6f}")
+    clip_cfgs = [_configs(args, parser, strategy="pw", window_name=name)[1]
+                 for name in SWEEP_WINDOWS]
     ofdm, _ = _configs(args, parser, strategy="pw")
-    baseline = papr_samples(ofdm, None, args.symbols, args.seed, args.workers)
+    # one pass: the unclipped baseline is the last row
+    *swept, baseline = papr_samples(ofdm, clip_cfgs + [None], args.symbols, args.seed,
+                                    args.workers)
+    lines = ["window,mean_papr_db,ccdf3_papr_db"]
+    lines += [f"{name},{samples.mean():.6f},{ccdf_point_db(samples):.6f}"
+              for name, samples in zip(SWEEP_WINDOWS, swept)]
     print(f"unclipped mean_papr_db={baseline.mean():.6f} "
           f"ccdf3_papr_db={ccdf_point_db(baseline):.6f}")
     _write_atomic(args.out, "\n".join(lines) + "\n")

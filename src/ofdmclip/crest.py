@@ -179,12 +179,14 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     """Synthesize one frequency-domain symbol and run the clip loop on it.
 
     Returns (time signal, ClipReport).  With iterations=0 the synthesized
-    signal passes through untouched.
+    signal passes through untouched.  NaN or inf bins raise ValueError.
     """
     symbol = np.asarray(symbol, dtype=np.complex128)
     if symbol.shape != (ofdm.n_subcarriers,):
         raise ValueError(
             f"symbol must have {ofdm.n_subcarriers} bins, got shape {symbol.shape}")
+    if not np.isfinite(symbol).all():
+        raise ValueError("symbol must be finite (no NaN or inf bins)")
     x0 = synthesize(symbol, ofdm.oversample)
     papr_before = float(_kernels.papr_db_rows(x0.reshape(1, -1))[0])
     if cfg.iterations == 0:

@@ -21,10 +21,13 @@ def papr_db(signal: np.ndarray) -> float | np.ndarray:
     """Peak-to-average power ratio in dB, 10*log10(max|x|^2 / mean|x|^2).
 
     A 1-D input yields a float; a 2-D input yields one value per row.
+    NaN or inf samples raise ValueError.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     batched = signal.ndim == 2
     rows = signal if batched else signal.reshape(1, -1)
+    if not np.isfinite(rows).all():
+        raise ValueError("PAPR of a signal with NaN or inf samples is undefined")
     if not (np.abs(rows) ** 2).sum(axis=1).all():
         raise ValueError("PAPR of an all-zero signal is undefined")
     out = _kernels.papr_db_rows(rows)

@@ -104,3 +104,8 @@ def test_invalid_args():
             measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
         with pytest.raises(ValueError):
             awgn(carrier(), snr_db, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        signal = carrier()
+        signal[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            awgn(signal, 10.0, seed=1)

@@ -134,11 +134,22 @@ def test_usage_errors_exit_2(tmp_path):
         ["ser", "--snr-start", "nan"],
         ["ser", "--snr-step", "nan"],
         ["ser", "--snr-stop", "inf"],
+        ["ser", "--snr-step", "1e-300"],
+        ["ser", "--snr-step", "1e-3"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_snr_grid_cap_names_step(capsys):
+    from ofdmclip.cli import MAX_SNR_POINTS
+    step = 14.0 / MAX_SNR_POINTS  # MAX_SNR_POINTS + 1 points from 0 to 14 dB
+    with pytest.raises(SystemExit):
+        main(["ser", "--snr-step", str(step)])
+    err = capsys.readouterr().err
+    assert "--snr-step" in err and str(MAX_SNR_POINTS) in err
 
 
 def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):

@@ -203,6 +203,12 @@ def test_peak_window_validation(rng):
         peak_window_suppress(x, 1.0, "hann", 10)
 
 
+def test_empty_signal_passes_clip_and_peak_window():
+    empty = np.array([], dtype=complex)
+    for y in (clip(empty, 1.0), peak_window_suppress(empty, 1.0, "hann", 11)):
+        assert y.shape == (0,) and y.dtype == np.complex128
+
+
 # --- rcf ----------------------------------------------------------------------
 
 OFDM = OfdmConfig(64, 4, 8)
@@ -286,6 +292,14 @@ def test_rcf_pw_strategy_reduces_papr(rng):
     cfg = ClipConfig(iterations=5, strategy="pw")
     y, report = rcf(sym, cfg, OFDM)
     assert report.papr_after_db < report.papr_before_db
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rcf_rejects_non_finite_bin(rng, bad):
+    symbol = one_symbol(rng)
+    symbol[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rcf(symbol, ClipConfig(), OFDM)
 
 
 def test_rcf_rejects_wrong_symbol_length(rng):

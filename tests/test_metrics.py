@@ -35,6 +35,14 @@ def test_papr_rejects_zero_signal():
         papr_db(np.zeros(16, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_papr_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="NaN or inf"):
+        papr_db([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="NaN or inf"):
+        papr_db(np.array([[1.0, 2.0], [1.0, 1j * bad]]))
+
+
 def test_ccdf_endpoints_and_monotonicity(rng):
     samples = rng.normal(8.0, 1.0, 5000)
     thresholds = np.linspace(samples.min() - 1, samples.max() + 1, 40)
