@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _env(flag: str, cast, fallback):
         raise _EnvOverrideError(f"invalid {name}={raw!r}: {exc}")
 
 
-def _add_common(p: argparse.ArgumentParser, default_out: str, with_window: bool = True):
+def _add_common(p: argparse.ArgumentParser, default_out: str, with_strategy: bool = True):
     p.add_argument("--n", type=int, default=_env("n", int, 64),
                    help="subcarrier count (power of two)")
     p.add_argument("--mod", type=int, choices=SUPPORTED_ORDERS,
@@ -62,9 +63,9 @@ def _add_common(p: argparse.ArgumentParser, default_out: str, with_window: bool 
                    help="clipping ratio over RMS in dB")
     p.add_argument("--iterations", type=int, default=_env("iterations", int, 5),
                    help="clip-and-filter iteration count (0 = no crest reduction)")
-    p.add_argument("--clip", choices=STRATEGIES, default=_env("clip", str, "cf"),
-                   help="crest-reduction strategy: none=hard clip, cf=clip+filter, pw=peak window")
-    if with_window:
+    if with_strategy:
+        p.add_argument("--clip", choices=STRATEGIES, default=_env("clip", str, "cf"),
+                       help="strategy: none=hard clip, cf=clip+filter, pw=peak window")
         p.add_argument("--window", choices=WINDOW_NAMES, default=_env("window", str, "hann"),
                        help="window used by the pw strategy")
     p.add_argument("--kaiser-beta", type=float, default=_env("kaiser-beta", float, 5.0),
@@ -97,16 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("window-sweep",
                        help="peak-window PAPR comparison across the five named windows")
-    _add_common(p, "window_sweep.csv", with_window=False)
+    _add_common(p, "window_sweep.csv", with_strategy=False)
+    p.set_defaults(clip="pw", window=SWEEP_WINDOWS[0])
     return parser
 
 
-def _configs(args, parser, strategy=None, window_name=None):
+def _configs(args, parser):
     try:
         ofdm = OfdmConfig(args.n, args.oversample, args.mod)
-        kind = WindowKind(window_name or getattr(args, "window", "hann"), args.kaiser_beta)
-        clip_cfg = ClipConfig(args.cr_db, args.iterations, strategy or args.clip,
-                              kind, args.window_len)
+        kind = WindowKind(args.window, args.kaiser_beta)
+        clip_cfg = ClipConfig(args.cr_db, args.iterations, args.clip, kind, args.window_len)
         if args.symbols < 1:
             raise ValueError(f"--symbols must be >= 1, got {args.symbols}")
         _check_seed(args.seed)
@@ -172,9 +173,9 @@ def _run_ser(args, parser) -> None:
 
 
 def _run_window_sweep(args, parser) -> None:
-    clip_cfgs = [_configs(args, parser, strategy="pw", window_name=name)[1]
+    ofdm, clip_cfg = _configs(args, parser)
+    clip_cfgs = [replace(clip_cfg, window=replace(clip_cfg.window, name=name))
                  for name in SWEEP_WINDOWS]
-    ofdm, _ = _configs(args, parser, strategy="pw")
     # one pass: the unclipped baseline is the last row
     *swept, baseline = papr_samples(ofdm, clip_cfgs + [None], args.symbols, args.seed,
                                     args.workers)

@@ -11,6 +11,10 @@ Strategies
 
 The clipping threshold A is set once from the *unclipped* signal's RMS as
 ``A = rms * 10**(clip_ratio_db / 20)`` and held fixed across iterations.
+
+The step functions work along the last axis on one signal or a batch of
+rows, with the level given once or per row; the clip loop runs them on
+whole batches.  NaN or inf samples raise ValueError.
 """
 from __future__ import annotations
 
@@ -57,28 +61,43 @@ class ClipReport:
     per_iteration_papr_db: np.ndarray
 
 
-def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float:
-    """Clipping level A = rms(signal) * 10**(clip_ratio_db/20)."""
-    signal = np.asarray(signal)
-    power = np.mean(np.abs(signal) ** 2)
-    if power == 0.0:
+def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
+    """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
+    signal, one level per row for a batch; all-zero rows raise ValueError."""
+    power = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
+    if not np.isfinite(power).all():
+        raise ValueError("signal must be finite (no NaN or inf samples)")
+    if not power.all():
         raise ValueError("cannot derive a clipping threshold from an all-zero signal")
-    return float(np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0))
+    a = np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0)
+    return float(a) if a.ndim == 0 else a
 
 
-def _clip_rows(x: np.ndarray, thresh: np.ndarray):
-    """Clip each row's magnitude to its threshold, phases untouched.
+def _row_levels(a, mag: np.ndarray) -> np.ndarray:
+    """Check a > 0 and a finite mag; one level per row, shaped to broadcast against mag."""
+    a = np.asarray(a, dtype=float)
+    if not (a > 0).all():
+        raise ValueError(f"clipping level must be positive, got {a}")
+    # max propagates NaN and inf, so one reduction checks every sample
+    if not np.isfinite(mag.max(initial=0.0)):
+        raise ValueError("signal must be finite (no NaN or inf samples)")
+    return np.broadcast_to(a, mag.shape[:-1])[..., None]
+
+
+def clip(signal: np.ndarray, a) -> np.ndarray:
+    """Hard-clip along the last axis: samples with |x| > a are scaled onto
+    the circle |y| = a, phases untouched.  ``a`` is one level or one per row.
 
     The over-threshold mask uses np.abs and the rescaled samples are nudged
-    until np.abs certifies them <= A, so re-clipping is a bit-exact no-op.
-    Returns (clipped, per-row count of samples that exceeded A).
+    until np.abs certifies them <= a, so re-clipping is a bit-exact no-op.
     """
+    x = np.asarray(signal, dtype=np.complex128)
     mag = np.abs(x)
-    over = mag > thresh[:, None]
-    counts = over.sum(axis=1)
+    level = _row_levels(a, mag)
+    over = mag > level
     y = x.copy()
-    if counts.any():
-        limit = np.broadcast_to(thresh[:, None], x.shape)[over]
+    if over.any():
+        limit = np.broadcast_to(level, x.shape)[over]
         xo = x[over]
         scale = limit / mag[over]
         w = xo * scale
@@ -88,43 +107,27 @@ def _clip_rows(x: np.ndarray, thresh: np.ndarray):
             w = np.where(bad, xo * scale, w)
             bad = np.abs(w) > limit
         y[over] = w
-    return y, counts
+    return y
 
 
-def clip(signal: np.ndarray, a: float) -> np.ndarray:
-    """Hard-clip: samples with |x| > a are scaled onto the circle |y| = a."""
-    if not a > 0:
-        raise ValueError(f"clipping level must be positive, got {a}")
+def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
+    """Zero every out-of-band bin of each row; a linear, idempotent projection."""
     signal = np.asarray(signal, dtype=np.complex128)
-    y, _ = _clip_rows(signal.reshape(1, -1), np.array([float(a)]))
-    return y.reshape(signal.shape)
-
-
-def _oob_filter_rows(x: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    spectrum = analyze(x)
-    total = x.shape[-1]
+    total = signal.shape[-1]
+    if total != n_subcarriers * oversample:
+        raise ValueError(f"signal length {total} != {n_subcarriers} * {oversample}")
+    with np.errstate(invalid="ignore"):  # inf - inf; reported just below
+        spectrum = analyze(signal)
+    # bin 0 sums its row, so a NaN or inf sample leaves it non-finite
+    if not np.isfinite(spectrum[..., 0]).all():
+        raise ValueError("signal must be finite (no NaN or inf samples)")
     spectrum[..., n_subcarriers // 2: total - n_subcarriers // 2] = 0.0
     return np.fft.ifft(spectrum, norm="ortho", axis=-1)
 
 
-def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
-    """Zero every out-of-band bin; a linear, idempotent projection."""
-    signal = np.asarray(signal, dtype=np.complex128)
-    if signal.shape[-1] != n_subcarriers * oversample:
-        raise ValueError(
-            f"signal length {signal.shape[-1]} != {n_subcarriers} * {oversample}")
-    return _oob_filter_rows(signal, n_subcarriers)
-
-
-def _peak_suppress_rows(x: np.ndarray, thresh: np.ndarray, coeffs: np.ndarray):
-    mag = np.abs(x)
-    counts = (mag > thresh[:, None]).sum(axis=1)
-    y = _kernels.peak_suppress(x, mag, thresh, coeffs)
-    return y, counts
-
-
-def peak_window_suppress(signal: np.ndarray, a: float, kind, window_len: int) -> np.ndarray:
-    """Attenuate peaks above ``a`` with window-shaped envelopes.
+def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.ndarray:
+    """Attenuate peaks above ``a`` with window-shaped envelopes, along the
+    last axis; ``a`` is one level or one per row.
 
     Local maxima of |x| above ``a`` (strictly greater than both neighbours;
     the first sample of a plateau; boundary samples need one neighbour) get
@@ -134,45 +137,39 @@ def peak_window_suppress(signal: np.ndarray, a: float, kind, window_len: int) ->
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
     lobes may locally amplify).
     """
-    if not a > 0:
-        raise ValueError(f"clipping level must be positive, got {a}")
     window_len = int(window_len)
     if window_len < 1 or window_len % 2 == 0:
         raise ValueError(f"window length must be odd and >= 1, got {window_len}")
-    signal = np.asarray(signal, dtype=np.complex128)
-    coeffs = window(kind, window_len)
-    y, _ = _peak_suppress_rows(signal.reshape(1, -1), np.array([float(a)]), coeffs)
-    return y.reshape(signal.shape)
+    x = np.asarray(signal, dtype=np.complex128)
+    mag = np.abs(x)
+    level = _row_levels(a, mag).reshape(-1)
+    shape = (level.size, x.shape[-1])
+    y = _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
+                               window(kind, window_len))
+    return y.reshape(x.shape)
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record_papr: bool = False):
-    """Shared batch loop behind rcf() and the Monte Carlo drivers.
-
-    Rows of x0 are independent oversampled symbols.  Returns
-    (final signal, per-row over-threshold counts, per-iteration PAPR
-    (iterations, rows) when requested).
-    """
-    power = np.mean(np.abs(x0) ** 2, axis=1)
-    if not power.all():
-        raise ValueError("cannot derive a clipping threshold from an all-zero signal")
-    thresh = np.sqrt(power) * 10.0 ** (cfg.clip_ratio_db / 20.0)
-
-    coeffs = window(cfg.window, cfg.window_len) if cfg.strategy == "pw" else None
+def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = False):
+    """The clip loop behind rcf() and the Monte Carlo drivers, on rows of
+    independent symbols.  Returns the final rows; with ``record`` also the
+    per-row count of samples above A over all iterations and the PAPR after
+    each iteration, shape (iterations, rows)."""
+    a = threshold_from_ratio(x0, cfg.clip_ratio_db)
     counts = np.zeros(x0.shape[0], dtype=np.int64)
-    papr_track = np.empty((cfg.iterations, x0.shape[0])) if record_papr else None
-
+    papr_track = np.empty((cfg.iterations, x0.shape[0]))
     x = x0
     for it in range(cfg.iterations):
+        if record:
+            counts += (np.abs(x) > a[:, None]).sum(axis=1)
         if cfg.strategy == "pw":
-            x, c = _peak_suppress_rows(x, thresh, coeffs)
+            x = peak_window_suppress(x, a, cfg.window, cfg.window_len)
         else:
-            x, c = _clip_rows(x, thresh)
+            x = clip(x, a)
             if cfg.strategy == "cf":
-                x = _oob_filter_rows(x, ofdm.n_subcarriers)
-        counts += c
-        if record_papr:
+                x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample)
+        if record:
             papr_track[it] = _kernels.papr_db_rows(x)
-    return x, counts, papr_track
+    return (x, counts, papr_track) if record else x
 
 
 def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
@@ -191,7 +188,7 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     papr_before = float(_kernels.papr_db_rows(x0.reshape(1, -1))[0])
     if cfg.iterations == 0:
         return x0, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
-    y, counts, papr_track = _rcf_rows(x0.reshape(1, -1), cfg, ofdm, record_papr=True)
+    y, counts, papr_track = _rcf_rows(x0.reshape(1, -1), cfg, ofdm, record=True)
     per_iter = papr_track[:, 0].copy()
     return y.reshape(x0.shape), ClipReport(
         papr_before, float(per_iter[-1]), int(counts[0]), per_iter)

@@ -6,14 +6,14 @@ from SeedSequence([seed, 1, i]).  Results therefore depend only on
 (config, seed, symbol index) — never on chunking, worker count, or
 completion order — and runs are bit-reproducible at any parallelism level.
 
-One pass per chunk: ``_chunk`` walks symbols lo..hi in blocks of
-``_BLOCK`` rows.  Each block is drawn and synthesized once, every requested
-crest config runs on it, and for SER each symbol's noise is drawn once and
-reused at every SNR point.  The reuse is exact: the noise substream does
-not depend on the SNR, so a run per SNR point would draw the same
-Gaussians and only scale them differently.  Working on blocks keeps every
-temporary block-sized, so peak memory grows with neither the chunk size nor
-the number of configs.
+One pass per chunk: ``_chunk`` walks symbols lo..hi in blocks of whole
+rows, ``_BLOCK_SAMPLES`` time samples or one row.  Each block is drawn
+and synthesized once, every requested crest config runs on it, and for
+SER each symbol's noise is drawn once and reused at every SNR point.  The
+reuse is exact: the noise substream does not depend on the SNR, so a run
+per SNR point would draw the same Gaussians and only scale them
+differently.  Sizing blocks by samples keeps every temporary block-sized,
+so peak memory grows with neither the chunk, the configs nor N*L.
 
 Chunks of ``_CHUNK`` symbols run in this process, or on one process pool
 with at most one worker per chunk, and are reassembled in index order.
@@ -32,7 +32,7 @@ from .transform import OfdmConfig, extract_inband, synthesize
 _BITS_STREAM = 0
 _NOISE_STREAM = 1
 _CHUNK = 1024
-_BLOCK = 256
+_BLOCK_SAMPLES = 65536
 _SEED_MAX = 2 ** 64
 
 
@@ -84,7 +84,7 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
 def _crest(x, clip_cfg, ofdm):
     if clip_cfg is None or clip_cfg.iterations == 0:
         return x
-    return _rcf_rows(x, clip_cfg, ofdm)[0]
+    return _rcf_rows(x, clip_cfg, ofdm)
 
 
 def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
@@ -106,17 +106,18 @@ def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
 
 
 def _chunk(task):
-    """One pass over symbols lo..hi, in blocks of ``_BLOCK`` rows: the PAPR
-    rows of every crest config, or (with an SNR grid) the symbol errors of
-    the one config at every point."""
+    """One pass over symbols lo..hi, in blocks of ``_BLOCK_SAMPLES`` samples:
+    the PAPR rows of every crest config, or (with an SNR grid) the symbol
+    errors of the one config at every point."""
     ofdm, clip_cfgs, snr_db, seed, lo, hi = task
     points = constellation(ofdm.mod_order).points
     if snr_db is None:
         out = np.empty((len(clip_cfgs), hi - lo))
     else:
         out = np.zeros(snr_db.size, dtype=np.int64)
-    for b in range(lo, hi, _BLOCK):
-        e = min(b + _BLOCK, hi)
+    rows = max(1, _BLOCK_SAMPLES // ofdm.n_samples)
+    for b in range(lo, hi, rows):
+        e = min(b + rows, hi)
         labels = _draw_labels(ofdm, seed, b, e)
         x = synthesize(points[labels], ofdm.oversample)
         if snr_db is None:

@@ -136,6 +136,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["ser", "--snr-stop", "inf"],
         ["ser", "--snr-step", "1e-300"],
         ["ser", "--snr-step", "1e-3"],
+        ["window-sweep", "--clip", "cf"],
+        ["window-sweep", "--window", "hann"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:

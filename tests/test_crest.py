@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmclip import (ClipConfig, OfdmConfig, analyze, clip, constellation,
-                      oob_filter, papr_db, peak_window_suppress, rcf,
-                      synthesize, threshold_from_ratio, window)
+from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
+                      constellation, oob_filter, papr_db, peak_window_suppress,
+                      rcf, synthesize, threshold_from_ratio, window)
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def random_signal(rng, n=256, scale=1.0):
@@ -15,6 +17,12 @@ def random_signal(rng, n=256, scale=1.0):
 def random_symbols(rng, count, ofdm):
     labels = rng.integers(0, ofdm.mod_order, (count, ofdm.n_subcarriers))
     return constellation(ofdm.mod_order).points[labels]
+
+
+def with_sample(x, index, value):
+    x = np.array(x, dtype=complex)
+    x[index] = value
+    return x
 
 
 # --- threshold_from_ratio ---------------------------------------------------
@@ -32,9 +40,14 @@ def test_threshold_scales_with_signal(rng):
     assert a2 == pytest.approx(3.7 * a1, rel=1e-12)
 
 
-def test_threshold_rejects_zero_signal():
+def test_threshold_rejects_zero_signal(rng):
     with pytest.raises(ValueError):
         threshold_from_ratio(np.zeros(8, dtype=complex), 3.0)
+    with pytest.raises(ValueError):
+        threshold_from_ratio(with_sample(random_signal(rng, 16).reshape(2, 8), 1, 0.0), 3.0)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            threshold_from_ratio(with_sample(random_signal(rng, 16), 3, bad), 3.0)
 
 
 # --- clip --------------------------------------------------------------------
@@ -71,18 +84,38 @@ def test_clip_idempotent_bit_exact(rng):
 
 def test_clip_rejects_nonpositive_level(rng):
     x = random_signal(rng, 16)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             clip(x, bad)
+    with pytest.raises(ValueError):
+        clip(x.reshape(2, 8), np.array([1.0, 0.0]))
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            clip(with_sample(x, 3, bad), 1.0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), a=st.floats(0.1, 4.0))
-def test_clip_properties(seed, a):
-    x = random_signal(np.random.default_rng(seed), 512, scale=1.5)
-    y = clip(x, a)
-    assert np.all(np.abs(y) <= a)
-    assert np.array_equal(clip(y, a), y)
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(0.1, 4.0), rows=st.integers(1, 5),
+       name=st.sampled_from(WINDOW_NAMES))
+def test_clip_properties(seed, a, rows, name):
+    # a batch of 256-sample rows at unequal scales, with per-row levels
+    rng = np.random.default_rng(seed)
+    x = random_signal(rng, rows * 256, scale=1.5).reshape(rows, 256)
+    x *= rng.uniform(0.5, 2.0, (rows, 1))
+    levels = a * rng.uniform(0.5, 2.0, rows)
+    y = clip(x, levels)
+    assert np.all(np.abs(y) <= levels[:, None])
+    assert np.array_equal(clip(y, levels), y)
+    assert clip(x, a).tobytes() == clip(x, np.full(rows, a)).tobytes()
+    # each row of a batch call is byte-equal to the 1-D call on that row
+    thresh = threshold_from_ratio(x, 3.0)
+    pw = peak_window_suppress(x, levels, name, 11)
+    oob = oob_filter(x, 64, 4)
+    for r in range(rows):
+        assert clip(x[r], levels[r]).tobytes() == y[r].tobytes()
+        assert peak_window_suppress(x[r], levels[r], name, 11).tobytes() == pw[r].tobytes()
+        assert oob_filter(x[r], 64, 4).tobytes() == oob[r].tobytes()
+        assert np.float64(threshold_from_ratio(x[r], 3.0)).tobytes() == thresh[r].tobytes()
 
 
 # --- oob_filter ---------------------------------------------------------------
@@ -122,9 +155,13 @@ def test_oob_filter_zeroes_out_of_band(rng):
     assert np.max(np.abs(spectrum[32:256 - 32])) < 1e-12
 
 
-def test_oob_filter_size_mismatch():
+def test_oob_filter_size_mismatch(rng):
     with pytest.raises(ValueError):
         oob_filter(np.ones(100, dtype=complex), 64, 4)
+    x = random_signal(rng, 3 * 256).reshape(3, 256)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            oob_filter(with_sample(x, (1, 17), bad), 64, 4)
 
 
 # --- peak_window_suppress ------------------------------------------------------
@@ -164,10 +201,8 @@ def test_width_one_rect_equals_clip_at_peaks(rng):
 def test_nonnegative_windows_never_amplify(rng, name):
     ofdm = OfdmConfig(64, 4, 8)
     x = synthesize(random_symbols(rng, 200, ofdm), ofdm.oversample)
-    a = np.sqrt(np.mean(np.abs(x) ** 2, axis=1)) * 10 ** (3.0 / 20)
-    for row, thresh in zip(x, a):
-        y = peak_window_suppress(row, thresh, name, 11)
-        assert np.all(np.abs(y) <= np.abs(row) * (1 + 1e-12) + 1e-15)
+    y = peak_window_suppress(x, threshold_from_ratio(x, 3.0), name, 11)
+    assert np.all(np.abs(y) <= np.abs(x) * (1 + 1e-12) + 1e-15)
 
 
 def test_plateau_uses_first_sample():
@@ -201,6 +236,9 @@ def test_peak_window_validation(rng):
         peak_window_suppress(x, -1.0, "hann", 11)
     with pytest.raises(ValueError):
         peak_window_suppress(x, 1.0, "hann", 10)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            peak_window_suppress(with_sample(x, 2, bad), 0.5, "hann", 11)
 
 
 def test_empty_signal_passes_clip_and_peak_window():

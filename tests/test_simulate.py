@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from ofdmclip import (ClipConfig, OfdmConfig, analyze, awgn, constellation,
-                      demap_points, extract_inband, map_bits, papr_samples, rcf,
-                      ser_errors)
+                      demap_points, extract_inband, map_bits, papr_db, papr_samples,
+                      rcf, ser_errors)
 from ofdmclip import simulate
 
 OFDM = OfdmConfig(64, 2, 16)
@@ -64,19 +64,39 @@ def test_ser_errors_worker_invariant():
 
 # --- one pass per chunk: grids and config sequences -------------------------
 
+def reference_symbol(ofdm, seed, i):
+    """Symbol i's bits, drawn from its bit substream, and its Gray-mapped bins."""
+    k = constellation(ofdm.mod_order).bits_per_symbol
+    bits = simulate.bits_rng(seed, i).integers(0, 2, ofdm.n_subcarriers * k, dtype=np.uint8)
+    return bits, map_bits(bits, ofdm.mod_order)
+
+
+def reference_papr_db(ofdm, cfg, n_symbols, seed):
+    """Symbol by symbol through the public single-signal functions."""
+    return np.array([papr_db(rcf(reference_symbol(ofdm, seed, i)[1], cfg, ofdm)[0])
+                     for i in range(n_symbols)])
+
+
 def reference_ser_errors(ofdm, cfg, snr_db, n_symbols, seed):
     """Symbol by symbol through the public single-signal functions; symbol
     i's noise is awgn stream i, which is its noise substream."""
     k = constellation(ofdm.mod_order).bits_per_symbol
     errors = 0
     for i in range(n_symbols):
-        bits = simulate.bits_rng(seed, i).integers(0, 2, ofdm.n_subcarriers * k,
-                                                   dtype=np.uint8)
-        x, _ = rcf(map_bits(bits, ofdm.mod_order), cfg, ofdm)
+        bits, symbol = reference_symbol(ofdm, seed, i)
+        x, _ = rcf(symbol, cfg, ofdm)
         y = awgn(x, snr_db, seed, stream=i)
         rx = demap_points(extract_inband(analyze(y), ofdm.n_subcarriers), ofdm.mod_order)
         errors += int((rx != bits).reshape(-1, k).any(axis=1).sum())
     return errors
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_papr_samples_match_symbol_by_symbol_reference(strategy):
+    # 600 symbols at N*L = 128: two blocks
+    cfg = ClipConfig(3.0, 3, strategy)
+    samples = papr_samples(OFDM, cfg, 600, seed=4)
+    assert samples.tobytes() == reference_papr_db(OFDM, cfg, 600, seed=4).tobytes()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -110,11 +130,12 @@ def test_config_sequence_rows_equal_single_config_calls():
 
 @pytest.mark.parametrize("chunk, block", [(1, 256), (7, 3), (1024, 1)])
 def test_results_do_not_depend_on_chunk_or_block(monkeypatch, chunk, block):
+    # block in rows; the engine's budget is in samples
     cfgs = (None, ClipConfig(3.0, 2, "cf"), ClipConfig(3.0, 2, "pw"))
     papr = papr_samples(OFDM, cfgs, 300, seed=9)
     ser = ser_errors(OFDM, cfgs[2], GRID, 300, seed=9)
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
-    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "_BLOCK_SAMPLES", block * OFDM.n_samples)
     assert papr_samples(OFDM, cfgs, 300, seed=9).tobytes() == papr.tobytes()
     assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9).tolist() == ser.tolist()
 
