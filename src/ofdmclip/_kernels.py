@@ -74,24 +74,26 @@ def peak_suppress(x, mag, thresh, w):
 
 
 # ---------------------------------------------------------------------------
-# nearest-constellation-point demapping
+# nearest-constellation-point demapping on a rectangular Gray grid
 #
-# Squared distances are computed component-wise (not via |.|); ties resolve
-# to the lowest constellation index (argmin returns the first minimum).
+# ``i_levels[g]`` / ``q_levels[g]`` is the axis level of Gray code g, and the
+# label is (I code << Q bits) | Q code, so the nearest point is the nearest
+# level on each axis.  Squared distances per axis; argmin returns the first
+# minimum, the lower Gray code, so equidistant ties go to the lowest label.
 # ---------------------------------------------------------------------------
 
 _DEMAP_BLOCK = 8192
 
 
-def nearest_labels(points, constellation):
+def nearest_labels(points, i_levels, q_levels):
     points = points.ravel()
     out = np.empty(points.size, dtype=np.int64)
-    cre = constellation.real[None, :]
-    cim = constellation.imag[None, :]
+    q_bits = q_levels.size.bit_length() - 1
     for lo in range(0, points.size, _DEMAP_BLOCK):
         blk = points[lo:lo + _DEMAP_BLOCK]
-        d = (blk.real[:, None] - cre) ** 2 + (blk.imag[:, None] - cim) ** 2
-        out[lo:lo + _DEMAP_BLOCK] = d.argmin(axis=1)
+        gi = ((blk.real[:, None] - i_levels) ** 2).argmin(axis=1)
+        gq = ((blk.imag[:, None] - q_levels) ** 2).argmin(axis=1)
+        out[lo:lo + _DEMAP_BLOCK] = (gi << q_bits) | gq
     return out
 
 
@@ -101,4 +103,4 @@ def nearest_labels(points, constellation):
 
 def papr_db_rows(x):
     p = x.real ** 2 + x.imag ** 2
-    return 10.0 * np.log10(p.max(axis=1) * x.shape[1] / p.sum(axis=1))
+    return 10.0 * np.log10(p.max(axis=-1) * x.shape[-1] / p.sum(axis=-1))

@@ -63,7 +63,10 @@ class ClipReport:
 
 def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
     """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
-    signal, one level per row for a batch; all-zero rows raise ValueError."""
+    signal, one level per row for a batch; empty or all-zero rows raise
+    ValueError."""
+    if np.shape(signal)[-1:] == (0,):
+        raise ValueError("cannot derive a clipping threshold from an empty signal")
     power = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
     if not np.isfinite(power).all():
         raise ValueError("signal must be finite (no NaN or inf samples)")

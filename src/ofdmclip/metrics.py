@@ -18,20 +18,21 @@ class CcdfCurve:
 
 
 def papr_db(signal: np.ndarray) -> float | np.ndarray:
-    """Peak-to-average power ratio in dB, 10*log10(max|x|^2 / mean|x|^2).
+    """Peak-to-average power ratio in dB, 10*log10(max|x|^2 / mean|x|^2),
+    along the last axis.
 
-    A 1-D input yields a float; a 2-D input yields one value per row.
-    NaN or inf samples raise ValueError.
+    A 1-D input yields a float; an input of more axes yields one value per
+    row.  A 0-D input, NaN or inf samples and all-zero rows raise ValueError.
     """
     signal = np.asarray(signal, dtype=np.complex128)
-    batched = signal.ndim == 2
-    rows = signal if batched else signal.reshape(1, -1)
-    if not np.isfinite(rows).all():
+    if signal.ndim == 0:
+        raise ValueError("PAPR needs a signal with at least one axis, got a scalar")
+    if not np.isfinite(signal).all():
         raise ValueError("PAPR of a signal with NaN or inf samples is undefined")
-    if not (np.abs(rows) ** 2).sum(axis=1).all():
+    if not (np.abs(signal) ** 2).sum(axis=-1).all():
         raise ValueError("PAPR of an all-zero signal is undefined")
-    out = _kernels.papr_db_rows(rows)
-    return out if batched else float(out[0])
+    out = _kernels.papr_db_rows(signal)
+    return float(out) if signal.ndim == 1 else out
 
 
 def default_threshold_grid() -> np.ndarray:
@@ -39,11 +40,20 @@ def default_threshold_grid() -> np.ndarray:
     return np.arange(16, 53) * 0.25
 
 
-def estimate_ccdf(papr_samples: np.ndarray, thresholds_db: np.ndarray) -> CcdfCurve:
-    """Fraction of samples strictly above each threshold."""
-    samples = np.sort(np.asarray(papr_samples, dtype=float).ravel())
+def _samples(papr_samples) -> np.ndarray:
+    """The samples as a flat float array; empty or non-finite raise ValueError."""
+    samples = np.asarray(papr_samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("need at least one PAPR sample")
+    if not np.isfinite(samples).all():
+        raise ValueError("PAPR samples must be finite (no NaN or inf)")
+    return samples
+
+
+def estimate_ccdf(papr_samples: np.ndarray, thresholds_db: np.ndarray) -> CcdfCurve:
+    """Fraction of samples strictly above each threshold; non-finite samples
+    raise ValueError."""
+    samples = np.sort(_samples(papr_samples))
     thresholds = np.asarray(thresholds_db, dtype=float).ravel()
     if thresholds.size == 0:
         raise ValueError("need at least one threshold")
@@ -54,10 +64,9 @@ def estimate_ccdf(papr_samples: np.ndarray, thresholds_db: np.ndarray) -> CcdfCu
 
 
 def ccdf_point_db(papr_samples: np.ndarray, prob: float = 1e-3) -> float:
-    """The PAPR level exceeded with the given probability (empirical quantile)."""
-    samples = np.asarray(papr_samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("need at least one PAPR sample")
+    """The PAPR level exceeded with the given probability (empirical
+    quantile); non-finite samples raise ValueError."""
+    samples = _samples(papr_samples)
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0, 1), got {prob}")
     return float(np.quantile(samples, 1.0 - prob))

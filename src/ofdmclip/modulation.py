@@ -4,23 +4,13 @@ Bit convention: each constellation symbol carries log2(M) bits, most
 significant bit first.  The integer formed by those bits is the point's
 *label* and indexes ``Constellation.points`` directly.
 
-Layouts (all scaled to unit average symbol energy):
-
-====  =========================================================
-M     layout
-====  =========================================================
-2     antipodal BPSK, label 0 -> +1, label 1 -> -1
-4     square QPSK, one reflected-Gray bit per axis
-8     rectangular 4x2 grid, real in {+-1, +-3}, imag in {+-1}
-16    square, two reflected-Gray bits per axis
-64    square, three reflected-Gray bits per axis
-====  =========================================================
-
-For the square sizes the first half of the bits selects the real (I) level
-and the second half the imaginary (Q) level; per axis, Gray code ``g`` maps
-to amplitude ``(2**m - 1) - 2 * inverse_gray(g)``, so the all-zeros label
-sits in the upper-right corner.  The full tables are written out in
-``docs/constellations.md``.
+Every constellation is a rectangular Gray grid scaled to unit average
+symbol energy: ``_AXIS_BITS`` gives the (I, Q) bit split per order, the
+label is ``(I Gray code << Q bits) | Q Gray code``, and on an axis of n
+bits the b-th level from the top, ``(2**n - 1) - 2*b``, carries Gray code
+``b ^ (b >> 1)``, so the all-zeros label is the upper-right corner.  BPSK
+is the 2x1 grid (one I bit, no Q bit), 8-QAM the 4x2 grid.  The full
+tables are written out in ``docs/constellations.md``.
 """
 from __future__ import annotations
 
@@ -31,7 +21,9 @@ import numpy as np
 
 from . import _kernels
 
-SUPPORTED_ORDERS = (2, 4, 8, 16, 64)
+# order -> (I bits, Q bits): the one statement of the label layout
+_AXIS_BITS = {2: (1, 0), 4: (1, 1), 8: (2, 1), 16: (2, 2), 64: (3, 3)}
+SUPPORTED_ORDERS = tuple(_AXIS_BITS)
 
 
 @dataclass(frozen=True)
@@ -42,43 +34,26 @@ class Constellation:
     points: np.ndarray
     bits_per_symbol: int
 
-
-def _inverse_gray(g: int) -> int:
-    b = 0
-    while g:
-        b ^= g
-        g >>= 1
-    return b
+    @property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(I level per I Gray code, Q level per Q Gray code), read-only views
+        of ``points``."""
+        n_q = 1 << _AXIS_BITS[self.order][1]
+        return self.points.real[::n_q], self.points.imag[:n_q]
 
 
 def _gray_axis_levels(n_bits: int) -> np.ndarray:
-    """Amplitude per Gray label for a 2**n_bits-level PAM axis."""
-    size = 1 << n_bits
-    return np.array([(size - 1) - 2 * _inverse_gray(g) for g in range(size)], dtype=float)
+    """Amplitude per Gray code for a 2**n_bits-level PAM axis."""
+    b = np.arange(1 << n_bits)
+    levels = np.empty(b.size)
+    levels[b ^ (b >> 1)] = (b.size - 1) - 2 * b
+    return levels
 
 
 def _build_points(m: int) -> np.ndarray:
-    if m == 2:
-        return np.array([1.0 + 0j, -1.0 + 0j])
-    if m == 8:
-        i_levels = _gray_axis_levels(2)
-        q_levels = _gray_axis_levels(1)
-    else:
-        half = (m.bit_length() - 1) // 2
-        i_levels = _gray_axis_levels(half)
-        q_levels = i_levels
-    pts = np.array([complex(i_levels[lab >> q_bits(m)], q_levels[lab & (len(q_levels) - 1)])
-                    for lab in range(m)])
+    i_bits, q_bits = _AXIS_BITS[m]
+    pts = (_gray_axis_levels(i_bits)[:, None] + 1j * _gray_axis_levels(q_bits)).ravel()
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
-
-
-def q_bits(m: int) -> int:
-    """Number of bits assigned to the Q axis (the label's low bits)."""
-    if m == 2:
-        return 0
-    if m == 8:
-        return 1
-    return (m.bit_length() - 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -112,17 +87,27 @@ def labels_to_bits(labels: np.ndarray, bits_per_symbol: int) -> np.ndarray:
 
 
 def map_bits(bits, m: int) -> np.ndarray:
-    """Map a bit sequence (MSB first per group) to constellation points."""
+    """Map a bit sequence (MSB first per group) to constellation points.
+
+    Bit values other than 0 and 1 raise ValueError.
+    """
     const = constellation(m)
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("bits must be 0 or 1")
     return const.points[bits_to_labels(bits, const.bits_per_symbol)]
 
 
 def demap_points(received, m: int) -> np.ndarray:
     """Hard-decision demap: nearest constellation point, then its bit label.
 
-    Equidistant ties resolve to the lowest constellation index.
+    The nearest level is taken on each axis, so equidistant ties resolve to
+    the lowest label.  This can differ from an argmin of the summed squared
+    distance ``dre**2 + dim**2`` over all points, whose float sum may round
+    two different distances to a tie.  NaN or inf points raise ValueError.
     """
     const = constellation(m)
     pts = np.asarray(received, dtype=np.complex128)
-    labels = _kernels.nearest_labels(pts, const.points)
+    if not np.isfinite(pts).all():
+        raise ValueError("received points must be finite (no NaN or inf)")
+    labels = _kernels.nearest_labels(pts, *const.axes)
     return labels_to_bits(labels, const.bits_per_symbol)

@@ -90,7 +90,7 @@ def _crest(x, clip_cfg, ofdm):
 def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     """Symbol errors of the transmitted rows ``x`` (symbols lo, lo+1, ...)
     at every SNR point."""
-    points = constellation(ofdm.mod_order).points
+    axes = constellation(ofdm.mod_order).axes
     power = np.mean(np.abs(x) ** 2, axis=1, keepdims=True)
     noisy = ~np.isposinf(snr_db)
     g = np.empty(x.shape + (2,))
@@ -101,7 +101,7 @@ def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     for k, snr in enumerate(snr_db):
         y = x + _complex_noise(g, power / 10.0 ** (snr / 10.0)) if noisy[k] else x
         bins = extract_inband(np.fft.fft(y, norm="ortho", axis=-1), ofdm.n_subcarriers)
-        errors[k] = np.count_nonzero(_kernels.nearest_labels(bins, points) != labels.ravel())
+        errors[k] = np.count_nonzero(_kernels.nearest_labels(bins, *axes) != labels.ravel())
     return errors
 
 

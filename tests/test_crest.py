@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,11 @@ def test_threshold_scales_with_signal(rng):
 def test_threshold_rejects_zero_signal(rng):
     with pytest.raises(ValueError):
         threshold_from_ratio(np.zeros(8, dtype=complex), 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for empty in (np.array([], dtype=complex), np.zeros((3, 0), dtype=complex)):
+            with pytest.raises(ValueError, match="empty"):
+                threshold_from_ratio(empty, 3.0)
     with pytest.raises(ValueError):
         threshold_from_ratio(with_sample(random_signal(rng, 16).reshape(2, 8), 1, 0.0), 3.0)
     for bad in NON_FINITE:

@@ -1,8 +1,9 @@
-"""`peak_suppress` against its scalar reference, bit for bit, and kernel edge cases."""
+"""`peak_suppress` against its scalar reference, bit for bit, `nearest_labels`
+against an all-M distance search, and kernel edge cases."""
 import numpy as np
 import pytest
 
-from ofdmclip import _kernels
+from ofdmclip import SUPPORTED_ORDERS, _kernels, constellation
 from ofdmclip.windows import window
 
 
@@ -101,9 +102,66 @@ def test_peak_suppress_matches_scalar_loop(rng, make):
     assert y.tobytes() == ref.tobytes()
 
 
+def nearest_labels_joint(points, constellation):
+    """Reference for ``_kernels.nearest_labels``: the squared distance to all
+    M points, summed over both axes, and its first minimum."""
+    points = points.ravel()
+    out = np.empty(points.size, dtype=np.int64)
+    cre = constellation.real[None, :]
+    cim = constellation.imag[None, :]
+    for lo in range(0, points.size, 8192):
+        blk = points[lo:lo + 8192]
+        d = (blk.real[:, None] - cre) ** 2 + (blk.imag[:, None] - cim) ** 2
+        out[lo:lo + 8192] = d.argmin(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+def test_nearest_labels_matches_joint_search_on_noisy_points(rng, m):
+    c = constellation(m)
+    n = 1_000_000
+    y = c.points[rng.integers(0, m, n)] + 0.3 * (rng.standard_normal(n)
+                                                 + 1j * rng.standard_normal(n))
+    assert np.array_equal(_kernels.nearest_labels(y, *c.axes), nearest_labels_joint(y, c.points))
+
+
+@pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+def test_nearest_labels_on_midpoints_and_corners(m):
+    # every level, every midpoint between neighbouring levels, and 0, of
+    # either axis, on both axes: per-axis and 2-D ties
+    c = constellation(m)
+    levels = np.unique(np.concatenate(c.axes))
+    values = np.unique(np.concatenate([levels, (levels[1:] + levels[:-1]) / 2, [0.0]]))
+    y = (values[:, None] + 1j * values).ravel()
+    got = _kernels.nearest_labels(y, *c.axes)
+    ref = nearest_labels_joint(y, c.points)
+    i_levels, q_levels = c.axes
+    q_bits = q_levels.size.bit_length() - 1
+
+    def axis_dist(labels):
+        return ((y.real - i_levels[labels >> q_bits]) ** 2,
+                (y.imag - q_levels[labels & (q_levels.size - 1)]) ** 2)
+
+    (gi, gq), (ri, rq) = axis_dist(got), axis_dist(ref)
+    # a mismatch only where the joint sum rounds two different per-axis
+    # distances to a tie; the per-axis answer is then nearer on an axis
+    bad = got != ref
+    assert np.array_equal(gi[bad] + gq[bad], ri[bad] + rq[bad])
+    assert ((gi[bad] <= ri[bad]) & (gq[bad] <= rq[bad])).all()
+    assert ((gi[bad] < ri[bad]) | (gq[bad] < rq[bad])).all()
+
+
 def test_nearest_labels_tie_prefers_lowest_index():
-    const = np.array([1 + 0j, -1 + 0j])
-    assert _kernels.nearest_labels(np.array([0.0 + 0j]), const)[0] == 0
+    i_levels, q_levels = np.array([1.0, -1.0]), np.array([0.0])
+    assert _kernels.nearest_labels(np.array([0.0 + 0j]), i_levels, q_levels)[0] == 0
+    # QPSK origin: equidistant from all four points
+    assert _kernels.nearest_labels(np.array([0.0 + 0j]), *constellation(4).axes)[0] == 0
+    # 8-QAM, midway between I codes 2 and 3 and between Q codes 0 and 1: the
+    # joint float sums tie labels 4 and 6, but code 3 is strictly nearer on I
+    c = constellation(8)
+    y = np.array([-0.8164965809277259 + 0j])
+    assert nearest_labels_joint(y, c.points)[0] == 4
+    assert _kernels.nearest_labels(y, *c.axes)[0] == 6
 
 
 def test_peak_suppress_gain_stays_in_unit_interval(rng):

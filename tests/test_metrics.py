@@ -30,9 +30,23 @@ def test_papr_bounds(rng):
     assert np.all(vals <= 10 * np.log10(64 * 4) + 1e-12)
 
 
+def test_papr_along_last_axis(rng):
+    x = rng.standard_normal((3, 4, 32)) + 1j * rng.standard_normal((3, 4, 32))
+    vals = papr_db(x)
+    assert vals.shape == (3, 4)
+    for i in range(3):
+        assert np.array_equal(vals[i], papr_db(x[i]))
+        for j in range(4):
+            assert vals[i, j] == papr_db(x[i, j])
+
+
 def test_papr_rejects_zero_signal():
     with pytest.raises(ValueError):
         papr_db(np.zeros(16, dtype=complex))
+    with pytest.raises(ValueError):
+        papr_db(np.ones((2, 3, 4)) * [[[1.0]], [[0.0]]])
+    with pytest.raises(ValueError, match="scalar"):
+        papr_db(2.0 + 1j)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -68,6 +82,9 @@ def test_ccdf_validation(rng):
         estimate_ccdf(np.array([1.0]), np.array([]))
     with pytest.raises(ValueError):
         estimate_ccdf(np.array([1.0, 2.0]), np.array([3.0, 2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_ccdf([1.0, bad, 5.0], [0.0, 4.0, 10.0])
 
 
 def test_default_grid():
@@ -84,6 +101,9 @@ def test_ccdf_point_is_upper_quantile():
         ccdf_point_db(samples, 0.0)
     with pytest.raises(ValueError):
         ccdf_point_db(np.array([]), 1e-3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ccdf_point_db([1.0, bad, 5.0], 0.5)
 
 
 def test_nyquist_ccdf_formula_exact_for_gaussian_bins(rng):

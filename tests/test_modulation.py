@@ -102,6 +102,13 @@ def test_demap_tie_breaks_to_lowest_index():
     assert np.array_equal(demap_points(mid, 4), [0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_demap_rejects_non_finite_points(bad):
+    for m in SUPPORTED_ORDERS:
+        with pytest.raises(ValueError, match="finite"):
+            demap_points(np.array([0.5 + 0.5j, bad]), m)
+
+
 @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
 def test_empirical_symbol_energy(m, rng):
     k = constellation(m).bits_per_symbol
@@ -121,6 +128,10 @@ def test_unsupported_order_rejected():
 def test_bit_length_must_divide():
     with pytest.raises(ValueError):
         map_bits([0, 1, 0], 4)
+    # bit values other than 0 and 1
+    for bits, m in (([0, 0, 1, 2], 16), ([2, 0, 0], 8), ([0, -1], 4), ([0.5], 2)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            map_bits(bits, m)
 
 
 def test_documented_tables_match_code():
