@@ -1,5 +1,9 @@
 """Hot numeric kernels: peak-window suppression, nearest-point demapping and
-per-row PAPR, vectorized in numpy over a batch of rows.
+per-row PAPR, as straight-line numpy over everything they are given.
+
+The kernels do not block: their temporaries grow with their input.  The
+Monte Carlo engine bounds memory by handing them one block of rows at a
+time (see ``simulate``).
 
 Magnitude masks are always computed by the *caller* with ``np.abs`` and
 passed in, so the same magnitudes decide clipping, peak detection and the
@@ -25,11 +29,9 @@ import numpy as np
 # are distinct, so a fancy-indexed += adds each term once.
 # ---------------------------------------------------------------------------
 
-_PEAK_BLOCK = 16384  # samples per block of rows; bounds the temporaries
-
 
 def _peaks(m, a):
-    """(rows, cols) of the peaks in the magnitude block ``m``."""
+    """(rows, cols) of the peaks in the magnitudes ``m``."""
     n = m.shape[1]
     cand = m > a[:, None]
     cand[:, 1:] &= m[:, 1:] > m[:, :-1]
@@ -43,14 +45,18 @@ def _peaks(m, a):
     return np.nonzero(cand & ((key & 1) == 0))
 
 
-def _peak_block(x, m, a, w):
-    n = m.shape[1]
+def peak_suppress(x, mag, thresh, w):
+    """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
+    thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
+    n = x.shape[1]
+    if n == 0:  # _peaks needs a last sample
+        return np.empty_like(x)
     half = (w.size - 1) // 2
-    rows, cols = _peaks(m, a)
-    depth = 1.0 - a[rows] / m[rows, cols]
+    rows, cols = _peaks(mag, thresh)
+    depth = 1.0 - thresh[rows] / mag[rows, cols]
     # each row padded by `pad` on both sides so no shifted peak leaves its row
     pad = min(half, n - 1)
-    b = np.zeros((m.shape[0], n + 2 * pad))
+    b = np.zeros((x.shape[0], n + 2 * pad))
     flat = b.ravel()
     at = rows * (n + 2 * pad) + cols + pad
     for d in range(w.size - 1, -1, -1):
@@ -58,19 +64,6 @@ def _peak_block(x, m, a, w):
         if abs(s) < n:
             flat[at + s] += depth * w[d]
     return x * (1.0 - np.minimum(b[:, pad:pad + n], 1.0))
-
-
-def peak_suppress(x, mag, thresh, w):
-    """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
-    thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
-    y = np.empty_like(x)
-    if x.shape[1] == 0:
-        return y
-    step = max(1, _PEAK_BLOCK // x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        hi = lo + step
-        y[lo:hi] = _peak_block(x[lo:hi], mag[lo:hi], thresh[lo:hi], w)
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +75,12 @@ def peak_suppress(x, mag, thresh, w):
 # minimum, the lower Gray code, so equidistant ties go to the lowest label.
 # ---------------------------------------------------------------------------
 
-_DEMAP_BLOCK = 8192
-
-
 def nearest_labels(points, i_levels, q_levels):
     points = points.ravel()
-    out = np.empty(points.size, dtype=np.int64)
     q_bits = q_levels.size.bit_length() - 1
-    for lo in range(0, points.size, _DEMAP_BLOCK):
-        blk = points[lo:lo + _DEMAP_BLOCK]
-        gi = ((blk.real[:, None] - i_levels) ** 2).argmin(axis=1)
-        gq = ((blk.imag[:, None] - q_levels) ** 2).argmin(axis=1)
-        out[lo:lo + _DEMAP_BLOCK] = (gi << q_bits) | gq
-    return out
+    gi = ((points.real[:, None] - i_levels) ** 2).argmin(axis=1)
+    gq = ((points.imag[:, None] - q_levels) ** 2).argmin(axis=1)
+    return (gi << q_bits) | gq
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,12 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     Noise variance is mean|x|^2 / 10**(snr_db/10) per complex sample, split
     evenly between the real and imaginary parts.  Deterministic in
     (seed, stream); snr_db=inf is the no-noise mode, NaN and -inf raise
-    ValueError, and so does a signal with NaN or inf samples.
+    ValueError, and so does an empty signal or one with NaN or inf samples.
     """
     simulate._check_snr(snr_db)
     signal = np.asarray(signal, dtype=np.complex128)
+    if signal.size == 0:
+        raise ValueError("SNR is undefined for an empty signal")
     if not np.isfinite(signal).all():
         raise ValueError("signal must be finite (no NaN or inf samples)")
     power = np.mean(np.abs(signal) ** 2)

@@ -20,7 +20,7 @@ import numpy as np
 from .crest import ClipConfig, STRATEGIES
 from .metrics import ccdf_point_db, default_threshold_grid, estimate_ccdf
 from .modulation import SUPPORTED_ORDERS
-from .simulate import _check_seed, papr_samples, ser_errors
+from .simulate import _check_run, papr_samples, ser_errors
 from .transform import OfdmConfig
 from .windows import WINDOW_NAMES, WindowKind
 
@@ -108,11 +108,7 @@ def _configs(args, parser):
         ofdm = OfdmConfig(args.n, args.oversample, args.mod)
         kind = WindowKind(args.window, args.kaiser_beta)
         clip_cfg = ClipConfig(args.cr_db, args.iterations, args.clip, kind, args.window_len)
-        if args.symbols < 1:
-            raise ValueError(f"--symbols must be >= 1, got {args.symbols}")
-        _check_seed(args.seed)
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        _check_run(args.symbols, args.seed, args.workers)
     except ValueError as exc:
         parser.error(str(exc))
     return ofdm, clip_cfg

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .metrics import papr_db
 from .transform import OfdmConfig, analyze, synthesize
 from .windows import WindowKind, as_window_kind, window
 
@@ -63,8 +64,10 @@ class ClipReport:
 
 def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
     """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
-    signal, one level per row for a batch; empty or all-zero rows raise
-    ValueError."""
+    signal, one level per row for a batch; empty or all-zero rows and a
+    non-finite ratio raise ValueError."""
+    if not np.isfinite(clip_ratio_db):
+        raise ValueError(f"clip_ratio_db must be finite, got {clip_ratio_db}")
     if np.shape(signal)[-1:] == (0,):
         raise ValueError("cannot derive a clipping threshold from an empty signal")
     power = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
@@ -179,7 +182,8 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     """Synthesize one frequency-domain symbol and run the clip loop on it.
 
     Returns (time signal, ClipReport).  With iterations=0 the synthesized
-    signal passes through untouched.  NaN or inf bins raise ValueError.
+    signal passes through untouched.  NaN or inf bins and an all-zero
+    symbol raise ValueError.
     """
     symbol = np.asarray(symbol, dtype=np.complex128)
     if symbol.shape != (ofdm.n_subcarriers,):
@@ -188,7 +192,7 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     if not np.isfinite(symbol).all():
         raise ValueError("symbol must be finite (no NaN or inf bins)")
     x0 = synthesize(symbol, ofdm.oversample)
-    papr_before = float(_kernels.papr_db_rows(x0.reshape(1, -1))[0])
+    papr_before = papr_db(x0)
     if cfg.iterations == 0:
         return x0, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
     y, counts, papr_track = _rcf_rows(x0.reshape(1, -1), cfg, ofdm, record=True)

@@ -52,11 +52,13 @@ def _samples(papr_samples) -> np.ndarray:
 
 def estimate_ccdf(papr_samples: np.ndarray, thresholds_db: np.ndarray) -> CcdfCurve:
     """Fraction of samples strictly above each threshold; non-finite samples
-    raise ValueError."""
+    or thresholds raise ValueError."""
     samples = np.sort(_samples(papr_samples))
     thresholds = np.asarray(thresholds_db, dtype=float).ravel()
     if thresholds.size == 0:
         raise ValueError("need at least one threshold")
+    if not np.isfinite(thresholds).all():
+        raise ValueError("thresholds must be finite (no NaN or inf)")
     if thresholds.size > 1 and not (np.diff(thresholds) > 0).all():
         raise ValueError("thresholds must be strictly ascending")
     above = samples.size - np.searchsorted(samples, thresholds, side="right")

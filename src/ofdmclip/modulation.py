@@ -14,6 +14,7 @@ tables are written out in ``docs/constellations.md``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,14 +57,23 @@ def _build_points(m: int) -> np.ndarray:
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
 
 
-@lru_cache(maxsize=None)
 def constellation(m: int) -> Constellation:
-    """Return the fixed unit-energy constellation for order ``m``.
+    """Return the fixed unit-energy constellation for order ``m``, any
+    integral type.
 
-    Raises ValueError for unsupported orders.
+    Raises ValueError for unsupported or non-integral orders.
     """
-    if m not in SUPPORTED_ORDERS:
+    try:
+        order = operator.index(m)
+    except TypeError:
+        order = None
+    if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported modulation order {m}; choose one of {SUPPORTED_ORDERS}")
+    return _constellation(order)
+
+
+@lru_cache(maxsize=None)
+def _constellation(m: int) -> Constellation:
     pts = _build_points(m)
     pts.setflags(write=False)
     return Constellation(order=m, points=pts, bits_per_symbol=m.bit_length() - 1)

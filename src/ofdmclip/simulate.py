@@ -13,7 +13,8 @@ SER each symbol's noise is drawn once and reused at every SNR point.  The
 reuse is exact: the noise substream does not depend on the SNR, so a run
 per SNR point would draw the same Gaussians and only scale them
 differently.  Sizing blocks by samples keeps every temporary block-sized,
-so peak memory grows with neither the chunk, the configs nor N*L.
+so peak memory grows with neither the chunk, the configs nor N*L.  The
+block is the only memory bound: the crest steps and kernels take it whole.
 
 Chunks of ``_CHUNK`` symbols run in this process, or on one process pool
 with at most one worker per chunk, and are reassembled in index order.
@@ -32,7 +33,7 @@ from .transform import OfdmConfig, extract_inband, synthesize
 _BITS_STREAM = 0
 _NOISE_STREAM = 1
 _CHUNK = 1024
-_BLOCK_SAMPLES = 65536
+_BLOCK_SAMPLES = 32768
 _SEED_MAX = 2 ** 64
 
 
@@ -41,6 +42,15 @@ def _check_seed(seed: int) -> int:
     if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
+
+
+def _check_run(n_symbols: int, seed: int, workers: int) -> None:
+    """The run parameters every driver takes; ValueError names the bad one."""
+    if n_symbols < 1:
+        raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
+    _check_seed(seed)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _check_snr(snr_db) -> None:
@@ -129,9 +139,7 @@ def _chunk(task):
 
 
 def _run_chunks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
-    if n_symbols < 1:
-        raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
-    _check_seed(seed)
+    _check_run(n_symbols, seed, workers)
     tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + _CHUNK, n_symbols))
              for lo in range(0, n_symbols, _CHUNK)]
     workers = min(workers, len(tasks))

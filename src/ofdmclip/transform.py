@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modulation import constellation
+
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
 
@@ -41,6 +43,7 @@ class OfdmConfig:
         if self.oversample not in _OVERSAMPLE_CHOICES:
             raise ValueError(
                 f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {self.oversample}")
+        constellation(self.mod_order)  # ValueError for an unsupported order
 
     @property
     def n_samples(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,9 @@ def test_invalid_args():
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 10, seed=-1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            measure_ser(OfdmConfig(), None, 10.0, 10, seed=1, workers=workers)
     for snr_db in (float("nan"), float("-inf")):
         with pytest.raises(ValueError):
             measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
@@ -109,3 +113,7 @@ def test_invalid_args():
         signal[3] = bad
         with pytest.raises(ValueError, match="finite"):
             awgn(signal, 10.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty"):
+            awgn(np.array([], dtype=complex), 10.0, seed=1)

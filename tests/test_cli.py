@@ -130,6 +130,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["ccdf", "--window-len", "10"],
         ["ccdf", "--n", "48"],
         ["ccdf", "--symbols", "0"],
+        ["ccdf", "--workers", "0"],
         ["ser", "--snr-step", "-1"],
         ["ser", "--snr-start", "nan"],
         ["ser", "--snr-step", "nan"],
@@ -158,6 +159,14 @@ def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OFDMCLIP_SYMBOLS", "lots")
     assert main(["ccdf", "--out", str(tmp_path / "x.csv")]) == 2
     assert "OFDMCLIP_SYMBOLS" in capsys.readouterr().err
+
+
+def test_unsupported_env_mod_is_usage_error(tmp_path, monkeypatch):
+    # argparse checks choices on flags only, so OfdmConfig checks the default
+    monkeypatch.setenv("OFDMCLIP_MOD", "5")
+    with pytest.raises(SystemExit) as exc:
+        main(["ccdf", "--symbols", "10", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
 
 
 def test_seed_out_of_range_is_usage_error(tmp_path):

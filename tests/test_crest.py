@@ -55,6 +55,11 @@ def test_threshold_rejects_zero_signal(rng):
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
             threshold_from_ratio(with_sample(random_signal(rng, 16), 3, bad), 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in NON_FINITE:
+            with pytest.raises(ValueError, match="clip_ratio_db"):
+                threshold_from_ratio(random_signal(rng, 16), ratio)
 
 
 # --- clip --------------------------------------------------------------------
@@ -345,6 +350,15 @@ def test_rcf_rejects_non_finite_bin(rng, bad):
     symbol[5] = bad
     with pytest.raises(ValueError, match="finite"):
         rcf(symbol, ClipConfig(), OFDM)
+
+
+def test_rcf_rejects_all_zero_symbol():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for iterations in (0, 2):
+            with pytest.raises(ValueError, match="all-zero"):
+                rcf(np.zeros(OFDM.n_subcarriers, dtype=complex), ClipConfig(iterations=iterations),
+                    OFDM)
 
 
 def test_rcf_rejects_wrong_symbol_length(rng):

@@ -85,7 +85,7 @@ def case_flattop(rng):
 
 
 def case_many_blocks(rng):
-    rows = 2 * (_kernels._PEAK_BLOCK // 256) + 3
+    rows = 131
     return batch(rng, rows=rows), rng.uniform(1.0, 1.6, rows), window("kaiser", 9)
 
 

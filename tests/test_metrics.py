@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,11 @@ def test_ccdf_validation(rng):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             estimate_ccdf([1.0, bad, 5.0], [0.0, 4.0, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for thresholds in ([np.nan], [0.0, np.inf], [-np.inf, 4.0], [0.0, np.nan, 4.0]):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_ccdf([1.0, 5.0], thresholds)
 
 
 def test_default_grid():

@@ -118,9 +118,10 @@ def test_empirical_symbol_energy(m, rng):
 
 
 def test_unsupported_order_rejected():
-    for bad in (3, 32, 128, 0, -4):
+    for bad in (3, 32, 128, 0, -4, 4.0, 2.5, "4", None, np.float64(8)):
         with pytest.raises(ValueError):
             constellation(bad)
+    assert constellation(np.int64(4)) is constellation(4)
     with pytest.raises(ValueError):
         map_bits([0, 1], 32)
 

@@ -140,6 +140,32 @@ def test_results_do_not_depend_on_chunk_or_block(monkeypatch, chunk, block):
     assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9).tolist() == ser.tolist()
 
 
+@pytest.mark.parametrize("ofdm, n_symbols", [
+    (OFDM, 300),
+    (OfdmConfig(1024, 8, 64), 6),
+    (OfdmConfig(8192, 8, 4), 2),  # one row of 65536 samples, over the budget
+], ids=["many_rows", "few_rows", "row_over_budget"])
+def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
+    budget = max(simulate._BLOCK_SAMPLES, ofdm.n_samples)
+    sizes = {"peak_suppress": [], "nearest_labels": []}
+
+    def spy(name):
+        kernel = getattr(simulate._kernels, name)
+
+        def call(x, *args):
+            sizes[name].append(x.size)
+            return kernel(x, *args)
+        monkeypatch.setattr(simulate._kernels, name, call)
+
+    spy("peak_suppress")
+    spy("nearest_labels")
+    cfg = ClipConfig(3.0, 2, "pw")
+    papr_samples(ofdm, cfg, n_symbols, seed=3)
+    ser_errors(ofdm, cfg, [6.0, np.inf], n_symbols, seed=3)
+    assert sizes["peak_suppress"] and sizes["nearest_labels"]
+    assert max(sizes["peak_suppress"] + sizes["nearest_labels"]) <= budget
+
+
 def test_one_chunk_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-chunk run started a process pool")
@@ -157,3 +183,6 @@ def test_grid_and_sequence_validation():
             ser_errors(OFDM, None, [10.0, snr], 10, seed=1)
     with pytest.raises(ValueError):
         papr_samples(OFDM, [], 10, seed=1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            papr_samples(OFDM, None, 10, seed=1, workers=workers)

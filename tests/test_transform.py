@@ -117,4 +117,8 @@ def test_ofdm_config_validation():
         OfdmConfig(oversample=3)
     with pytest.raises(ValueError):
         OfdmConfig(n_subcarriers=1)
+    for bad in (5, 32, 4.0, "4", None):
+        with pytest.raises(ValueError, match="modulation order"):
+            OfdmConfig(64, 4, bad)
+    OfdmConfig(64, 4, np.int64(16))
     assert OfdmConfig(64, 4, 8).n_samples == 256
