@@ -14,6 +14,7 @@ import numpy as np
 
 from . import simulate
 from .crest import ClipConfig
+from .metrics import _mean_power
 from .transform import OfdmConfig
 
 
@@ -37,13 +38,7 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     """
     simulate._check_snr(snr_db)
     signal = np.asarray(signal, dtype=np.complex128)
-    if signal.size == 0:
-        raise ValueError("SNR is undefined for an empty signal")
-    if not np.isfinite(signal).all():
-        raise ValueError("signal must be finite (no NaN or inf samples)")
-    power = np.mean(np.abs(signal) ** 2)
-    if power == 0.0:
-        raise ValueError("SNR is undefined for an all-zero signal")
+    power = _mean_power(signal.ravel(), "SNR")
     if np.isposinf(snr_db):
         return signal.copy()
     sigma2 = power / 10.0 ** (snr_db / 10.0)

@@ -23,11 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .metrics import papr_db
+from .metrics import _mean_power, papr_db
+from .modulation import _integral
 from .transform import OfdmConfig, analyze, synthesize
 from .windows import WindowKind, as_window_kind, window
 
 STRATEGIES = ("none", "cf", "pw")
+
+
+def _clip_gain(clip_ratio_db) -> float:
+    """The level gain 10**(clip_ratio_db/20); ValueError unless it is finite and > 0."""
+    try:
+        with np.errstate(over="ignore"):
+            gain = 10.0 ** (clip_ratio_db / 20.0)
+    except OverflowError:
+        gain = np.inf
+    if not (np.isfinite(gain) and gain > 0.0):
+        raise ValueError(f"clip_ratio_db must give a finite, positive gain "
+                         f"10**(dB/20), got {clip_ratio_db}")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -41,13 +55,12 @@ class ClipConfig:
     window_len: int = 11
 
     def __post_init__(self):
-        if not np.isfinite(self.clip_ratio_db):
-            raise ValueError(f"clip_ratio_db must be finite, got {self.clip_ratio_db}")
-        if self.iterations < 0:
+        _clip_gain(self.clip_ratio_db)
+        if _integral(self.iterations, "iterations") < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
-        if self.window_len < 1 or self.window_len % 2 == 0:
+        if _integral(self.window_len, "window_len") < 1 or self.window_len % 2 == 0:
             raise ValueError(f"window_len must be odd and >= 1, got {self.window_len}")
         object.__setattr__(self, "window", as_window_kind(self.window))
 
@@ -64,18 +77,9 @@ class ClipReport:
 
 def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
     """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
-    signal, one level per row for a batch; empty or all-zero rows and a
-    non-finite ratio raise ValueError."""
-    if not np.isfinite(clip_ratio_db):
-        raise ValueError(f"clip_ratio_db must be finite, got {clip_ratio_db}")
-    if np.shape(signal)[-1:] == (0,):
-        raise ValueError("cannot derive a clipping threshold from an empty signal")
-    power = np.mean(np.abs(np.asarray(signal)) ** 2, axis=-1)
-    if not np.isfinite(power).all():
-        raise ValueError("signal must be finite (no NaN or inf samples)")
-    if not power.all():
-        raise ValueError("cannot derive a clipping threshold from an all-zero signal")
-    a = np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0)
+    signal, one level per row for a batch; empty, all-zero or non-finite rows
+    and a ratio whose gain is not finite and positive raise ValueError."""
+    a = np.sqrt(_mean_power(signal, "clipping threshold")) * _clip_gain(clip_ratio_db)
     return float(a) if a.ndim == 0 else a
 
 
@@ -83,7 +87,7 @@ def _row_levels(a, mag: np.ndarray) -> np.ndarray:
     """Check a > 0 and a finite mag; one level per row, shaped to broadcast against mag."""
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
-        raise ValueError(f"clipping level must be positive, got {a}")
+        raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
     # max propagates NaN and inf, so one reduction checks every sample
     if not np.isfinite(mag.max(initial=0.0)):
         raise ValueError("signal must be finite (no NaN or inf samples)")
@@ -143,7 +147,7 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
     lobes may locally amplify).
     """
-    window_len = int(window_len)
+    window_len = _integral(window_len, "window length")
     if window_len < 1 or window_len % 2 == 0:
         raise ValueError(f"window length must be odd and >= 1, got {window_len}")
     x = np.asarray(signal, dtype=np.complex128)
@@ -174,7 +178,7 @@ def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = 
             if cfg.strategy == "cf":
                 x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample)
         if record:
-            papr_track[it] = _kernels.papr_db_rows(x)
+            papr_track[it] = papr_db(x)
     return (x, counts, papr_track) if record else x
 
 

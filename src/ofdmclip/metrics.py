@@ -22,17 +22,31 @@ def papr_db(signal: np.ndarray) -> float | np.ndarray:
     along the last axis.
 
     A 1-D input yields a float; an input of more axes yields one value per
-    row.  A 0-D input, NaN or inf samples and all-zero rows raise ValueError.
+    row.  A 0-D input, empty rows, NaN or inf samples and all-zero rows raise
+    ValueError.
     """
     signal = np.asarray(signal, dtype=np.complex128)
-    if signal.ndim == 0:
-        raise ValueError("PAPR needs a signal with at least one axis, got a scalar")
-    if not np.isfinite(signal).all():
-        raise ValueError("PAPR of a signal with NaN or inf samples is undefined")
-    if not (np.abs(signal) ** 2).sum(axis=-1).all():
-        raise ValueError("PAPR of an all-zero signal is undefined")
-    out = _kernels.papr_db_rows(signal)
+    if signal.shape[-1:] in ((), (0,)):
+        raise ValueError(f"PAPR needs non-empty rows, got {signal.shape or 'a scalar'}")
+    with np.errstate(all="ignore"):  # 0/0 or inf/inf, reported just below
+        out = _kernels.papr_db_rows(signal)
+    if not np.isfinite(out).all():
+        raise ValueError("PAPR must be finite; an all-zero row or NaN or inf samples have none")
     return float(out) if signal.ndim == 1 else out
+
+
+def _mean_power(signal: np.ndarray, what: str) -> np.ndarray:
+    """Mean |x|^2 along the last axis; an empty row, NaN, inf or overflowing
+    samples and an all-zero row raise ValueError naming ``what``."""
+    if np.shape(signal)[-1:] == (0,):
+        raise ValueError(f"{what} is undefined for an empty signal")
+    with np.errstate(over="ignore"):  # an overflowing |x|^2 is reported just below
+        power = np.mean(np.abs(signal) ** 2, axis=-1)
+    if not np.isfinite(power).all():
+        raise ValueError(f"{what} needs finite samples (no NaN, inf or overflowing power)")
+    if not power.all():
+        raise ValueError(f"{what} is undefined for an all-zero row")
+    return power
 
 
 def default_threshold_grid() -> np.ndarray:

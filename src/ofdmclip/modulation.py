@@ -57,16 +57,21 @@ def _build_points(m: int) -> np.ndarray:
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
 
 
+def _integral(value, name: str):
+    """``value`` through operator.index; anything not integral raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def constellation(m: int) -> Constellation:
     """Return the fixed unit-energy constellation for order ``m``, any
     integral type.
 
     Raises ValueError for unsupported or non-integral orders.
     """
-    try:
-        order = operator.index(m)
-    except TypeError:
-        order = None
+    order = _integral(m, "modulation order")
     if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported modulation order {m}; choose one of {SUPPORTED_ORDERS}")
     return _constellation(order)

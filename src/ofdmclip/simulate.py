@@ -16,6 +16,11 @@ differently.  Sizing blocks by samples keeps every temporary block-sized,
 so peak memory grows with neither the chunk, the configs nor N*L.  The
 block is the only memory bound: the crest steps and kernels take it whole.
 
+Measurements go through the checked rules: PAPR through ``metrics.papr_db``
+and signal power through ``metrics._mean_power``, the rules ``awgn`` and
+``threshold_from_ratio`` use.  A crest step that zeroes a whole symbol
+therefore raises ValueError instead of giving NaN or a noiseless SER.
+
 Chunks of ``_CHUNK`` symbols run in this process, or on one process pool
 with at most one worker per chunk, and are reassembled in index order.
 """
@@ -27,7 +32,8 @@ import numpy as np
 
 from . import _kernels
 from .crest import ClipConfig, _rcf_rows
-from .modulation import bits_to_labels, constellation
+from .metrics import _mean_power, papr_db
+from .modulation import _integral, bits_to_labels, constellation
 from .transform import OfdmConfig, extract_inband, synthesize
 
 _BITS_STREAM = 0
@@ -38,7 +44,7 @@ _SEED_MAX = 2 ** 64
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = _integral(seed, "seed")
     if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
@@ -46,10 +52,10 @@ def _check_seed(seed: int) -> int:
 
 def _check_run(n_symbols: int, seed: int, workers: int) -> None:
     """The run parameters every driver takes; ValueError names the bad one."""
-    if n_symbols < 1:
+    if _integral(n_symbols, "n_symbols") < 1:
         raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
     _check_seed(seed)
-    if workers < 1:
+    if _integral(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
@@ -63,7 +69,7 @@ def _check_snr(snr_db) -> None:
 def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
     """Independent generator for one (seed, stream kind, symbol index)."""
     return np.random.default_rng(
-        np.random.SeedSequence([_check_seed(seed), stream_kind, int(index)]))
+        np.random.SeedSequence([_check_seed(seed), stream_kind, _integral(index, "index")]))
 
 
 def bits_rng(seed: int, index: int) -> np.random.Generator:
@@ -101,7 +107,7 @@ def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     """Symbol errors of the transmitted rows ``x`` (symbols lo, lo+1, ...)
     at every SNR point."""
     axes = constellation(ofdm.mod_order).axes
-    power = np.mean(np.abs(x) ** 2, axis=1, keepdims=True)
+    power = _mean_power(x, "SNR")[:, None]
     noisy = ~np.isposinf(snr_db)
     g = np.empty(x.shape + (2,))
     if noisy.any():
@@ -132,7 +138,7 @@ def _chunk(task):
         x = synthesize(points[labels], ofdm.oversample)
         if snr_db is None:
             for k, cfg in enumerate(clip_cfgs):
-                out[k, b - lo:e - lo] = _kernels.papr_db_rows(_crest(x, cfg, ofdm))
+                out[k, b - lo:e - lo] = papr_db(_crest(x, cfg, ofdm))
         else:
             out += _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, b)
     return out

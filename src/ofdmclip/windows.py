@@ -32,8 +32,9 @@ class WindowKind:
     def __post_init__(self):
         if self.name not in WINDOW_NAMES:
             raise ValueError(f"unknown window {self.name!r}; choose one of {WINDOW_NAMES}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"kaiser beta must be finite and >= 0, got {self.beta}")
+        # bessel_i0's domain; a Kaiser window evaluates it up to beta
+        if not (math.isfinite(self.beta) and 0.0 <= self.beta < _BESSEL_MAX_ARG):
+            raise ValueError(f"kaiser beta must be in [0, {_BESSEL_MAX_ARG:g}), got {self.beta}")
 
 
 def as_window_kind(kind) -> WindowKind:

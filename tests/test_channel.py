@@ -98,6 +98,8 @@ def test_clipping_degrades_ser_quick():
 def test_invalid_args():
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
+    with pytest.raises(ValueError, match="index"):
+        awgn(carrier(), 10.0, seed=1, stream=1.5)
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 10, seed=-1)
     for workers in (0, -1):

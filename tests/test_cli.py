@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,9 @@ def test_usage_errors_exit_2(tmp_path):
         ["ccdf", "--n", "48"],
         ["ccdf", "--symbols", "0"],
         ["ccdf", "--workers", "0"],
+        ["ccdf", "--cr-db", "1e6"],
+        ["ccdf", "--cr-db=-1e6"],
+        ["ccdf", "--kaiser-beta", "1e9"],
         ["ser", "--snr-step", "-1"],
         ["ser", "--snr-start", "nan"],
         ["ser", "--snr-step", "nan"],
@@ -167,6 +171,19 @@ def test_unsupported_env_mod_is_usage_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["ccdf", "--symbols", "10", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["ccdf", "ser"])
+def test_erased_symbol_exits_4(tmp_path, capsys, command):
+    # a rect peak window of 255 samples on N*L = 256 zeroes whole rows
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--clip", "pw", "--window", "rect", "--window-len", "255",
+                     "--symbols", "200", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "all-zero row" in err and "RuntimeWarning" not in err
+    assert not out.exists()
 
 
 def test_seed_out_of_range_is_usage_error(tmp_path):

@@ -57,7 +57,7 @@ def test_threshold_rejects_zero_signal(rng):
             threshold_from_ratio(with_sample(random_signal(rng, 16), 3, bad), 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for ratio in NON_FINITE:
+        for ratio in NON_FINITE + (1e6, -1e6):
             with pytest.raises(ValueError, match="clip_ratio_db"):
                 threshold_from_ratio(random_signal(rng, 16), ratio)
 
@@ -248,6 +248,10 @@ def test_peak_window_validation(rng):
         peak_window_suppress(x, -1.0, "hann", 11)
     with pytest.raises(ValueError):
         peak_window_suppress(x, 1.0, "hann", 10)
+    with pytest.raises(ValueError, match="window length"):
+        peak_window_suppress(x, 1.0, "hann", 11.7)
+    with pytest.raises(ValueError, match="clipping level must be positive, got 0.0"):
+        peak_window_suppress(x.reshape(4, 16), [1.0, 0.0, 2.0, -1.0], "hann", 11)
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
             peak_window_suppress(with_sample(x, 2, bad), 0.5, "hann", 11)
@@ -361,6 +365,23 @@ def test_rcf_rejects_all_zero_symbol():
                     OFDM)
 
 
+def test_rcf_rejects_symbol_erased_by_peak_window(rng):
+    # a rect window of 255 samples on N*L = 256 can zero a whole row
+    cfg = ClipConfig(3.0, 5, "pw", "rect", 255)
+    erased = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for symbol in random_symbols(rng, 20, OFDM):
+            try:
+                _, report = rcf(symbol, cfg, OFDM)
+            except ValueError as exc:
+                assert "all-zero" in str(exc)
+                erased += 1
+            else:
+                assert np.isfinite(report.per_iteration_papr_db).all()
+    assert erased > 0
+
+
 def test_rcf_rejects_wrong_symbol_length(rng):
     with pytest.raises(ValueError):
         rcf(np.ones(32, dtype=complex), ClipConfig(), OFDM)
@@ -375,4 +396,13 @@ def test_clip_config_validation():
         ClipConfig(window_len=4)
     with pytest.raises(ValueError):
         ClipConfig(clip_ratio_db=float("nan"))
+    # a ratio whose level gain 10**(dB/20) overflows or underflows to 0
+    for ratio in (1e6, -1e6, np.float64(1e6)):
+        with pytest.raises(ValueError, match="clip_ratio_db"):
+            ClipConfig(clip_ratio_db=ratio)
+    for field, value in (("iterations", 2.5), ("iterations", 2.0), ("iterations", "2"),
+                         ("window_len", 11.0), ("window_len", None)):
+        with pytest.raises(ValueError, match=field):
+            ClipConfig(**{field: value})
+    assert ClipConfig(iterations=np.int64(2), window_len=np.int32(5)).iterations == 2
     assert ClipConfig(window="kaiser").window.name == "kaiser"

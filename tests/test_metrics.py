@@ -51,6 +51,17 @@ def test_papr_rejects_zero_signal():
         papr_db(2.0 + 1j)
 
 
+def test_papr_rejects_overflowing_and_empty_rows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |x|^2 overflows to inf, so the row's PAPR would be inf/inf
+        with pytest.raises(ValueError, match="NaN or inf"):
+            papr_db(np.array([1e200, 1e200, 1.0]))
+        for empty in (np.array([], dtype=complex), np.zeros((3, 0), dtype=complex)):
+            with pytest.raises(ValueError, match="non-empty"):
+                papr_db(empty)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_papr_rejects_non_finite_samples(bad):
     with pytest.raises(ValueError, match="NaN or inf"):

@@ -1,4 +1,6 @@
 """Deterministic seeding and parallel-schedule independence."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,27 @@ def test_grid_and_sequence_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             papr_samples(OFDM, None, 10, seed=1, workers=workers)
+    # run parameters are integers: a float is not truncated, even when whole
+    for name, kwargs in (("seed", dict(seed=1.7)), ("seed", dict(seed=1.0)),
+                         ("workers", dict(seed=1, workers=1.5)),
+                         ("n_symbols", dict(n_symbols=10.0, seed=1))):
+        with pytest.raises(ValueError, match=name):
+            papr_samples(OFDM, None, **{"n_symbols": 10, **kwargs})
+        with pytest.raises(ValueError, match=name):
+            ser_errors(OFDM, None, 10.0, **{"n_symbols": 10, **kwargs})
+    assert np.array_equal(papr_samples(OFDM, None, np.int64(10), seed=np.uint64(1),
+                                       workers=np.int32(1)),
+                          papr_samples(OFDM, None, 10, seed=1))
+
+
+def test_erased_symbol_raises_instead_of_measuring():
+    # peak windowing with a rect window of 255 on N*L = 256 zeroes whole rows;
+    # an erased row has no PAPR and no signal power to set the noise from
+    ofdm = OfdmConfig(64, 4, 8)
+    cfg = ClipConfig(3.0, 5, "pw", "rect", 255)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="all-zero"):
+            papr_samples(ofdm, cfg, 50, seed=1)
+        with pytest.raises(ValueError, match="all-zero"):
+            ser_errors(ofdm, cfg, GRID, 50, seed=1)

@@ -135,4 +135,9 @@ def test_window_kind_validation():
         WindowKind("kaiser", beta=-1.0)
     with pytest.raises(ValueError):
         WindowKind("kaiser", beta=float("inf"))
+    # beyond bessel_i0's domain, which a Kaiser window evaluates up to beta
+    for beta in (700.0, 1e9):
+        with pytest.raises(ValueError, match="beta"):
+            WindowKind("kaiser", beta=beta)
+    assert np.isfinite(window(WindowKind("kaiser", beta=699.0), 11)).all()
     assert WindowKind("kaiser").beta == 5.0
