@@ -53,8 +53,13 @@ def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
     Per OFDM symbol: random bits -> Gray map -> synthesize -> optional
     crest reduction -> AWGN -> analyze -> in-band extraction -> nearest-
     point demap.  Pure function of (configs, snr_db, n_symbols, seed);
-    ``workers`` only changes the wall time.
+    ``workers`` only changes the wall time.  ``snr_db`` is one point; a
+    grid raises ValueError before anything is simulated (``ser_errors``
+    takes grids).
     """
+    if np.ndim(snr_db) != 0:
+        raise ValueError(f"snr_db must be one SNR point, got shape {np.shape(snr_db)}; "
+                         "ser_errors takes a grid")
     errors = simulate.ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed, workers)
     sent = n_symbols * ofdm.n_subcarriers
     return SerPoint(float(snr_db), sent, errors, errors / sent)

@@ -84,7 +84,10 @@ def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np
 
 
 def _row_levels(a, mag: np.ndarray) -> np.ndarray:
-    """Check a > 0 and a finite mag; one level per row, shaped to broadcast against mag."""
+    """Check a > 0 and a finite mag of at least one axis; one level per row,
+    shaped to broadcast against mag."""
+    if mag.ndim == 0:
+        raise ValueError("signal needs rows of samples, got a scalar")
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
@@ -123,9 +126,10 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
 def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
     """Zero every out-of-band bin of each row; a linear, idempotent projection."""
     signal = np.asarray(signal, dtype=np.complex128)
-    total = signal.shape[-1]
-    if total != n_subcarriers * oversample:
-        raise ValueError(f"signal length {total} != {n_subcarriers} * {oversample}")
+    total = n_subcarriers * oversample
+    if signal.shape[-1:] != (total,):
+        raise ValueError(f"signal rows must have {n_subcarriers} * {oversample} samples, "
+                         f"got {signal.shape or 'a scalar'}")
     with np.errstate(invalid="ignore"):  # inf - inf; reported just below
         spectrum = analyze(signal)
     # bin 0 sums its row, so a NaN or inf sample leaves it non-finite

@@ -36,10 +36,11 @@ def papr_db(signal: np.ndarray) -> float | np.ndarray:
 
 
 def _mean_power(signal: np.ndarray, what: str) -> np.ndarray:
-    """Mean |x|^2 along the last axis; an empty row, NaN, inf or overflowing
-    samples and an all-zero row raise ValueError naming ``what``."""
-    if np.shape(signal)[-1:] == (0,):
-        raise ValueError(f"{what} is undefined for an empty signal")
+    """Mean |x|^2 along the last axis; a 0-D signal, an empty row, NaN, inf or
+    overflowing samples and an all-zero row raise ValueError naming ``what``."""
+    shape = np.shape(signal)
+    if shape[-1:] in ((), (0,)):
+        raise ValueError(f"{what} needs non-empty rows, got {shape or 'a scalar'}")
     with np.errstate(over="ignore"):  # an overflowing |x|^2 is reported just below
         power = np.mean(np.abs(signal) ** 2, axis=-1)
     if not np.isfinite(power).all():

@@ -6,23 +6,26 @@ from SeedSequence([seed, 1, i]).  Results therefore depend only on
 (config, seed, symbol index) — never on chunking, worker count, or
 completion order — and runs are bit-reproducible at any parallelism level.
 
-One pass per chunk: ``_chunk`` walks symbols lo..hi in blocks of whole
-rows, ``_BLOCK_SAMPLES`` time samples or one row.  Each block is drawn
-and synthesized once, every requested crest config runs on it, and for
-SER each symbol's noise is drawn once and reused at every SNR point.  The
-reuse is exact: the noise substream does not depend on the SNR, so a run
-per SNR point would draw the same Gaussians and only scale them
-differently.  Sizing blocks by samples keeps every temporary block-sized,
-so peak memory grows with neither the chunk, the configs nor N*L.  The
-block is the only memory bound: the crest steps and kernels take it whole.
+One work unit, the block: ``_run_blocks`` cuts symbols 0..n_symbols into
+blocks of whole rows, at most ``_BLOCK_SAMPLES`` time samples (or one row)
+and at most ceil(n_symbols / workers) rows, so every worker gets a block.
+``_block`` draws and synthesizes its rows once, every requested crest
+config runs on them, and for SER each symbol's noise is drawn once and
+reused at every SNR point.  The reuse is exact: the noise substream does
+not depend on the SNR, so a run per SNR point would draw the same
+Gaussians and only scale them differently.  Sizing blocks by samples keeps
+every temporary block-sized, so peak memory grows with neither the run,
+the configs nor N*L.  The block is the only memory bound: the crest steps
+and kernels take it whole.
 
 Measurements go through the checked rules: PAPR through ``metrics.papr_db``
 and signal power through ``metrics._mean_power``, the rules ``awgn`` and
 ``threshold_from_ratio`` use.  A crest step that zeroes a whole symbol
 therefore raises ValueError instead of giving NaN or a noiseless SER.
 
-Chunks of ``_CHUNK`` symbols run in this process, or on one process pool
-with at most one worker per chunk, and are reassembled in index order.
+With ``workers=1`` or a one-block run every block runs in this process;
+otherwise the blocks go to one process pool of at most one worker per
+block.  Results are reassembled in index order.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from .transform import OfdmConfig, extract_inband, synthesize
 
 _BITS_STREAM = 0
 _NOISE_STREAM = 1
-_CHUNK = 1024
 _BLOCK_SAMPLES = 32768
 _SEED_MAX = 2 ** 64
 
@@ -121,38 +123,27 @@ def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     return errors
 
 
-def _chunk(task):
-    """One pass over symbols lo..hi, in blocks of ``_BLOCK_SAMPLES`` samples:
-    the PAPR rows of every crest config, or (with an SNR grid) the symbol
-    errors of the one config at every point."""
+def _block(task):
+    """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
+    of every crest config, shape (configs, rows), or (with an SNR grid) the
+    symbol errors of the one config at every point."""
     ofdm, clip_cfgs, snr_db, seed, lo, hi = task
-    points = constellation(ofdm.mod_order).points
+    labels = _draw_labels(ofdm, seed, lo, hi)
+    x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     if snr_db is None:
-        out = np.empty((len(clip_cfgs), hi - lo))
-    else:
-        out = np.zeros(snr_db.size, dtype=np.int64)
-    rows = max(1, _BLOCK_SAMPLES // ofdm.n_samples)
-    for b in range(lo, hi, rows):
-        e = min(b + rows, hi)
-        labels = _draw_labels(ofdm, seed, b, e)
-        x = synthesize(points[labels], ofdm.oversample)
-        if snr_db is None:
-            for k, cfg in enumerate(clip_cfgs):
-                out[k, b - lo:e - lo] = papr_db(_crest(x, cfg, ofdm))
-        else:
-            out += _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, b)
-    return out
+        return np.stack([papr_db(_crest(x, cfg, ofdm)) for cfg in clip_cfgs])
+    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
 
 
-def _run_chunks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
+def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
     _check_run(n_symbols, seed, workers)
-    tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + _CHUNK, n_symbols))
-             for lo in range(0, n_symbols, _CHUNK)]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_chunk, tasks))
+    rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))
+    tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
+             for lo in range(0, n_symbols, rows)]
+    if workers == 1 or len(tasks) == 1:
+        return [_block(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(_block, tasks))
 
 
 def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
@@ -168,7 +159,7 @@ def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
     clip_cfgs = tuple(clip_cfg) if many else (clip_cfg,)
     if not clip_cfgs:
         raise ValueError("need at least one crest config")
-    out = np.concatenate(_run_chunks(ofdm, clip_cfgs, None, n_symbols, seed, workers), axis=1)
+    out = np.concatenate(_run_blocks(ofdm, clip_cfgs, None, n_symbols, seed, workers), axis=1)
     return out if many else out[0]
 
 
@@ -179,12 +170,14 @@ def ser_errors(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db,
     A scalar ``snr_db`` gives an ``int``.  A 1-D grid gives an int64 array
     with one count per point, each equal to the scalar call at that point:
     clipping runs once per symbol and the symbol's noise is drawn once and
-    scaled to every point.
+    scaled to every point.  An empty grid raises ValueError.
     """
     grid = np.asarray(snr_db, dtype=float)
     if grid.ndim > 1:
         raise ValueError(f"snr_db must be a scalar or a 1-D grid, got shape {grid.shape}")
+    if grid.size == 0:
+        raise ValueError("need at least one SNR point")
     _check_snr(grid)
-    counts = np.sum(_run_chunks(ofdm, (clip_cfg,), grid.reshape(-1), n_symbols, seed,
+    counts = np.sum(_run_blocks(ofdm, (clip_cfg,), grid.reshape(-1), n_symbols, seed,
                                 workers), axis=0)
     return int(counts[0]) if grid.ndim == 0 else counts

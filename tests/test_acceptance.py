@@ -20,6 +20,7 @@ from ofdmclip import (ClipConfig, OfdmConfig, analyze, ccdf_point_db, clip,
                       constellation, default_threshold_grid, estimate_ccdf,
                       extract_inband, measure_ser, papr_samples,
                       peak_window_suppress, synthesize, threshold_from_ratio)
+from ofdmclip import simulate
 from ofdmclip.cli import main as cli_main
 
 
@@ -258,8 +259,16 @@ def test_c09_peak_window_construction(rng):
            f"elapsed={elapsed:.0f}s")
 
 
-def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys):
+def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypatch):
     t0 = time.perf_counter()
+    pools = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
     cases = {
         "ccdf": ["ccdf", "--symbols", "2000", "--seed", "9"],
         "ser": ["ser", "--symbols", "300", "--seed", "9",
@@ -267,15 +276,20 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys):
         "window-sweep": ["window-sweep", "--symbols", "1000", "--seed", "9"],
     }
     all_ok = True
+    pool_counts = {}
     for name, argv in cases.items():
         outputs = []
         for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
             out = str(tmp_path / f"{name}-{tag}.csv")
+            before = len(pools)
             assert cli_main(argv + ["--workers", workers, "--out", out]) == 0
+            pool_counts[f"{name}-{tag}"] = started = len(pools) - before
+            # a --workers 2 run must really use a pool, or it compares serial with serial
+            all_ok = all_ok and started == (workers == "2")
             with open(out, "rb") as fh:
                 outputs.append(fh.read())
         all_ok = all_ok and outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
     report(10, "CLI byte determinism across workers", all_ok,
-           f"commands={list(cases)} elapsed={elapsed:.0f}s")
+           f"commands={list(cases)} pools={pool_counts} elapsed={elapsed:.0f}s")

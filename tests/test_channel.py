@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ofdmclip import ClipConfig, OfdmConfig, awgn, measure_ser
+from ofdmclip import ClipConfig, OfdmConfig, awgn, measure_ser, ser_errors, simulate
 
 
 def qfunc(z):
@@ -95,9 +95,17 @@ def test_clipping_degrades_ser_quick():
     assert clipped.ser >= clean.ser
 
 
-def test_invalid_args():
+def test_invalid_args(monkeypatch):
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
+    # the SNR input is checked before any symbol is drawn
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_draw_labels", None)
+        for grid in ([10.0], [], np.array([4.0, 8.0])):
+            with pytest.raises(ValueError, match="one SNR point"):
+                measure_ser(OfdmConfig(), None, grid, 10, seed=1)
+        with pytest.raises(ValueError, match="at least one SNR point"):
+            ser_errors(OfdmConfig(), None, [], 10, seed=1)
     with pytest.raises(ValueError, match="index"):
         awgn(carrier(), 10.0, seed=1, stream=1.5)
     with pytest.raises(ValueError):
@@ -119,3 +127,6 @@ def test_invalid_args():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty"):
             awgn(np.array([], dtype=complex), 10.0, seed=1)
+        # a scalar is one sample
+        y = awgn(1.0 + 0j, 10.0, seed=1)
+        assert y.shape == () and y != 1.0

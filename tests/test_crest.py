@@ -50,6 +50,9 @@ def test_threshold_rejects_zero_signal(rng):
         for empty in (np.array([], dtype=complex), np.zeros((3, 0), dtype=complex)):
             with pytest.raises(ValueError, match="empty"):
                 threshold_from_ratio(empty, 3.0)
+        for scalar in (1.0 + 0j, np.complex128(2.0)):
+            with pytest.raises(ValueError, match="got a scalar"):
+                threshold_from_ratio(scalar, 3.0)
     with pytest.raises(ValueError):
         threshold_from_ratio(with_sample(random_signal(rng, 16).reshape(2, 8), 1, 0.0), 3.0)
     for bad in NON_FINITE:
@@ -104,6 +107,10 @@ def test_clip_rejects_nonpositive_level(rng):
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
             clip(with_sample(x, 3, bad), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got a scalar"):
+            clip(1.0 + 0j, 0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -170,6 +177,10 @@ def test_oob_filter_zeroes_out_of_band(rng):
 def test_oob_filter_size_mismatch(rng):
     with pytest.raises(ValueError):
         oob_filter(np.ones(100, dtype=complex), 64, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got a scalar"):
+            oob_filter(1.0 + 0j, 1, 1)
     x = random_signal(rng, 3 * 256).reshape(3, 256)
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
@@ -255,6 +266,10 @@ def test_peak_window_validation(rng):
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
             peak_window_suppress(with_sample(x, 2, bad), 0.5, "hann", 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got a scalar"):
+            peak_window_suppress(1.0 + 0j, 0.5, "hann", 11)
 
 
 def test_empty_signal_passes_clip_and_peak_window():

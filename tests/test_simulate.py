@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ofdmclip import (ClipConfig, OfdmConfig, analyze, awgn, constellation,
-                      demap_points, extract_inband, map_bits, papr_db, papr_samples,
-                      rcf, ser_errors)
+                      demap_points, extract_inband, map_bits, measure_ser, papr_db,
+                      papr_samples, rcf, ser_errors)
 from ofdmclip import simulate
 
 OFDM = OfdmConfig(64, 2, 16)
@@ -64,7 +64,7 @@ def test_ser_errors_worker_invariant():
     assert a == b
 
 
-# --- one pass per chunk: grids and config sequences -------------------------
+# --- one pass per block: grids and config sequences -------------------------
 
 def reference_symbol(ofdm, seed, i):
     """Symbol i's bits, drawn from its bit substream, and its Gray-mapped bins."""
@@ -95,7 +95,7 @@ def reference_ser_errors(ofdm, cfg, snr_db, n_symbols, seed):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_papr_samples_match_symbol_by_symbol_reference(strategy):
-    # 600 symbols at N*L = 128: two blocks
+    # 600 symbols at N*L = 128: three blocks
     cfg = ClipConfig(3.0, 3, strategy)
     samples = papr_samples(OFDM, cfg, 600, seed=4)
     assert samples.tobytes() == reference_papr_db(OFDM, cfg, 600, seed=4).tobytes()
@@ -112,7 +112,7 @@ def test_ser_grid_matches_symbol_by_symbol_reference(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("workers", (1, 2))
 def test_ser_grid_equals_per_point_calls(strategy, workers):
-    # 1500 symbols: chunks of 1024 and 476 rows, each over several noise blocks
+    # 1500 symbols at N*L = 128: six blocks, the last one short
     cfg = ClipConfig(3.0, 3, strategy)
     counts = ser_errors(OFDM, cfg, GRID, 1500, seed=4, workers=workers)
     assert counts.dtype == np.int64 and counts.shape == GRID.shape
@@ -130,16 +130,15 @@ def test_config_sequence_rows_equal_single_config_calls():
         assert row.tobytes() == papr_samples(OFDM, cfg, 1100, seed=6).tobytes()
 
 
-@pytest.mark.parametrize("chunk, block", [(1, 256), (7, 3), (1024, 1)])
-def test_results_do_not_depend_on_chunk_or_block(monkeypatch, chunk, block):
+@pytest.mark.parametrize("block, workers", [(1, 1), (3, 2), (7, 3), (256, 2)])
+def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers):
     # block in rows; the engine's budget is in samples
     cfgs = (None, ClipConfig(3.0, 2, "cf"), ClipConfig(3.0, 2, "pw"))
     papr = papr_samples(OFDM, cfgs, 300, seed=9)
     ser = ser_errors(OFDM, cfgs[2], GRID, 300, seed=9)
-    monkeypatch.setattr(simulate, "_CHUNK", chunk)
     monkeypatch.setattr(simulate, "_BLOCK_SAMPLES", block * OFDM.n_samples)
-    assert papr_samples(OFDM, cfgs, 300, seed=9).tobytes() == papr.tobytes()
-    assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9).tolist() == ser.tolist()
+    assert papr_samples(OFDM, cfgs, 300, seed=9, workers=workers).tobytes() == papr.tobytes()
+    assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9, workers=workers).tolist() == ser.tolist()
 
 
 @pytest.mark.parametrize("ofdm, n_symbols", [
@@ -168,18 +167,66 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     assert max(sizes["peak_suppress"] + sizes["nearest_labels"]) <= budget
 
 
-def test_one_chunk_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk run started a process pool")
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace ProcessPoolExecutor with a stand-in that maps in this process;
+    returns one (max_workers, tasks mapped) entry per pool started."""
+    started = []
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-    papr_samples(OFDM, ClipConfig(), 100, seed=1, workers=2)
-    ser_errors(OFDM, ClipConfig(), GRID, simulate._CHUNK, seed=1, workers=2)
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.tasks = []
+            started.append((max_workers, self.tasks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks.extend(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    return started
 
 
-def test_grid_and_sequence_validation():
+def test_serial_runs_start_no_pool(pools):
+    # 600 symbols at N*L = 128 are three blocks, but workers=1 keeps them here;
+    # one symbol is one block, whatever the worker count
+    papr_samples(OFDM, ClipConfig(), 600, seed=1, workers=1)
+    ser_errors(OFDM, ClipConfig(), GRID, 600, seed=1, workers=1)
+    papr_samples(OFDM, ClipConfig(), 1, seed=1, workers=2)
+    ser_errors(OFDM, ClipConfig(), GRID, 1, seed=1, workers=2)
+    assert pools == []
+
+
+def test_every_worker_gets_a_block_below_the_budget(pools):
+    # a run of only 6 symbols still gives each of two workers a block
+    ofdm, cfg = OfdmConfig(1024, 8, 64), ClipConfig(3.0, 2, "pw")
+    serial = papr_samples(ofdm, cfg, 6, seed=3, workers=1)
+    assert pools == []
+    parallel = papr_samples(ofdm, cfg, 6, seed=3, workers=2)
+    assert len(pools) == 1 and pools[0][0] == 2 and len(pools[0][1]) >= 2
+    assert parallel.tobytes() == serial.tobytes()
+
+
+def test_grid_and_sequence_validation(monkeypatch):
     with pytest.raises(ValueError):
         ser_errors(OFDM, None, GRID.reshape(2, 2), 10, seed=1)
+
+    def no_draw(*args):
+        raise AssertionError("a symbol was drawn before the SNR input was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_draw_labels", no_draw)
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="at least one SNR point"):
+                ser_errors(OFDM, None, empty, 10, seed=1)
+        for grid in ([6.0, 8.0], []):
+            with pytest.raises(ValueError, match="one SNR point"):
+                measure_ser(OFDM, None, grid, 10, seed=1)
     for snr in (np.nan, -np.inf):
         with pytest.raises(ValueError):
             ser_errors(OFDM, None, [10.0, snr], 10, seed=1)
