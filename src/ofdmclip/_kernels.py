@@ -3,7 +3,9 @@ per-row PAPR, as straight-line numpy over everything they are given.
 
 The kernels do not block: their temporaries grow with their input.  The
 Monte Carlo engine bounds memory by handing them one block of rows at a
-time (see ``simulate``).
+time (see ``simulate``).  Full-size complex results can be written into a
+caller's array with ``out=``, which may be the input itself; ``out_rows``
+checks it.
 
 Magnitude masks are always computed by the *caller* with ``np.abs`` and
 passed in, so the same magnitudes decide clipping, peak detection and the
@@ -12,6 +14,19 @@ over-threshold counts.
 from __future__ import annotations
 
 import numpy as np
+
+
+def out_rows(out, shape) -> np.ndarray:
+    """``out``, checked to be a complex128 array of ``shape``, or a new one
+    when ``out`` is None."""
+    if out is None:
+        return np.empty(shape, dtype=np.complex128)
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.complex128):
+        raise ValueError(f"out must be a complex128 array of shape {shape}, got shape "
+                         f"{np.shape(out)} and dtype {getattr(out, 'dtype', None)}")
+    return out
+
 
 # ---------------------------------------------------------------------------
 # peak-window suppression
@@ -31,26 +46,37 @@ import numpy as np
 
 
 def _peaks(m, a):
-    """(rows, cols) of the peaks in the magnitudes ``m``."""
+    """(rows, cols) of the peaks in the magnitudes ``m``, row by row in
+    ascending column order.  Only samples above the row threshold are looked
+    at; the rare rows where a candidate starts a plateau are searched whole
+    for the plateau's end."""
     n = m.shape[1]
-    cand = m > a[:, None]
-    cand[:, 1:] &= m[:, 1:] > m[:, :-1]
-    # Key of a plateau's last sample: 2 * index + (next sample higher).  A
-    # reversed running minimum hands that key to every sample of the plateau.
-    key = np.full(m.shape, 2 * n)
-    np.copyto(key[:, :-1], 2 * np.arange(n - 1) + (m[:, 1:] >= m[:, :-1]),
-              where=m[:, 1:] != m[:, :-1])
-    key[:, -1] = 2 * (n - 1)
-    key = np.minimum.accumulate(key[:, ::-1], axis=1)[:, ::-1]
-    return np.nonzero(cand & ((key & 1) == 0))
+    rows, cols = np.nonzero(m > a[:, None])
+    v = m[rows, cols]
+    rising = (cols == 0) | (m[rows, cols - 1] < v)
+    rows, cols, v = rows[rising], cols[rising], v[rising]
+    end = cols.copy()  # last sample of the plateau each candidate starts
+    flat = np.flatnonzero((cols < n - 1) & (m[rows, np.minimum(cols + 1, n - 1)] == v))
+    if flat.size:
+        r, inv = np.unique(rows[flat], return_inverse=True)
+        sub = m[r]
+        # the first j >= col with m[j + 1] != m[j], or the row's last sample
+        change = np.ones(sub.shape, dtype=bool)
+        np.not_equal(sub[:, 1:], sub[:, :-1], out=change[:, :-1])
+        at = np.flatnonzero(change)
+        end[flat] = at[np.searchsorted(at, inv * n + cols[flat])] - inv * n
+    keep = (end == n - 1) | (m[rows, np.minimum(end + 1, n - 1)] < v)
+    return rows[keep], cols[keep]
 
 
-def peak_suppress(x, mag, thresh, w):
+def peak_suppress(x, mag, thresh, w, *, out=None):
     """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
-    thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
+    thresholds ``thresh`` and window coefficients ``w`` (odd length); the
+    result goes to ``out`` (see ``out_rows``)."""
+    out = out_rows(out, x.shape)
     n = x.shape[1]
-    if n == 0:  # _peaks needs a last sample
-        return np.empty_like(x)
+    if n == 0:  # the row padding below needs a sample
+        return out
     half = (w.size - 1) // 2
     rows, cols = _peaks(mag, thresh)
     depth = 1.0 - thresh[rows] / mag[rows, cols]
@@ -63,7 +89,10 @@ def peak_suppress(x, mag, thresh, w):
         s = d - half
         if abs(s) < n:
             flat[at + s] += depth * w[d]
-    return x * (1.0 - np.minimum(b[:, pad:pad + n], 1.0))
+    gain = b[:, pad:pad + n]
+    np.minimum(gain, 1.0, out=gain)
+    np.subtract(1.0, gain, out=gain)
+    return np.multiply(x, gain, out=out)
 
 
 # ---------------------------------------------------------------------------

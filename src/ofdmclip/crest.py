@@ -14,7 +14,9 @@ The clipping threshold A is set once from the *unclipped* signal's RMS as
 
 The step functions work along the last axis on one signal or a batch of
 rows, with the level given once or per row; the clip loop runs them on
-whole batches.  NaN or inf samples raise ValueError.
+whole batches.  Each writes its result into ``out=`` when given: a
+complex128 array of the signal's shape, which may be the signal itself.
+NaN or inf samples raise ValueError.
 """
 from __future__ import annotations
 
@@ -97,9 +99,10 @@ def _row_levels(a, mag: np.ndarray) -> np.ndarray:
     return np.broadcast_to(a, mag.shape[:-1])[..., None]
 
 
-def clip(signal: np.ndarray, a) -> np.ndarray:
+def clip(signal: np.ndarray, a, *, out=None) -> np.ndarray:
     """Hard-clip along the last axis: samples with |x| > a are scaled onto
     the circle |y| = a, phases untouched.  ``a`` is one level or one per row.
+    The result goes to ``out`` if given.
 
     The over-threshold mask uses np.abs and the rescaled samples are nudged
     until np.abs certifies them <= a, so re-clipping is a bit-exact no-op.
@@ -108,7 +111,9 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     mag = np.abs(x)
     level = _row_levels(a, mag)
     over = mag > level
-    y = x.copy()
+    y = _kernels.out_rows(out, x.shape)
+    if y is not x:
+        np.copyto(y, x)
     if over.any():
         limit = np.broadcast_to(level, x.shape)[over]
         xo = x[over]
@@ -123,23 +128,26 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     return y
 
 
-def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
-    """Zero every out-of-band bin of each row; a linear, idempotent projection."""
+def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int, *,
+               out=None) -> np.ndarray:
+    """Zero every out-of-band bin of each row; a linear, idempotent projection.
+    The result goes to ``out`` if given; both FFTs run in it."""
     signal = np.asarray(signal, dtype=np.complex128)
     total = n_subcarriers * oversample
     if signal.shape[-1:] != (total,):
         raise ValueError(f"signal rows must have {n_subcarriers} * {oversample} samples, "
                          f"got {signal.shape or 'a scalar'}")
     with np.errstate(invalid="ignore"):  # inf - inf; reported just below
-        spectrum = analyze(signal)
+        spectrum = analyze(signal, out=out)
     # bin 0 sums its row, so a NaN or inf sample leaves it non-finite
     if not np.isfinite(spectrum[..., 0]).all():
         raise ValueError("signal must be finite (no NaN or inf samples)")
     spectrum[..., n_subcarriers // 2: total - n_subcarriers // 2] = 0.0
-    return np.fft.ifft(spectrum, norm="ortho", axis=-1)
+    return np.fft.ifft(spectrum, norm="ortho", axis=-1, out=spectrum)
 
 
-def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.ndarray:
+def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int, *,
+                         out=None) -> np.ndarray:
     """Attenuate peaks above ``a`` with window-shaped envelopes, along the
     last axis; ``a`` is one level or one per row.
 
@@ -149,7 +157,7 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     peak, are summed into an envelope b which is capped at 1; the output is
     x * (1 - min(b, 1)).  An isolated peak therefore lands exactly on |y| = a,
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
-    lobes may locally amplify).
+    lobes may locally amplify).  The result goes to ``out`` if given.
     """
     window_len = _integral(window_len, "window length")
     if window_len < 1 or window_len % 2 == 0:
@@ -158,14 +166,20 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     mag = np.abs(x)
     level = _row_levels(a, mag).reshape(-1)
     shape = (level.size, x.shape[-1])
-    y = _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
-                               window(kind, window_len))
-    return y.reshape(x.shape)
+    y = _kernels.out_rows(out, x.shape)
+    rows = y.reshape(shape)
+    _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
+                           window(kind, window_len), out=rows)
+    if not np.may_share_memory(rows, y):  # leading axes that reshape only by copy
+        np.copyto(y, rows.reshape(x.shape))
+    return y
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = False):
+def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = False,
+              out=None):
     """The clip loop behind rcf() and the Monte Carlo drivers, on rows of
-    independent symbols.  Returns the final rows; with ``record`` also the
+    independent symbols.  Returns the final rows, which every step writes
+    into ``out`` if given (``x0`` is left as it is); with ``record`` also the
     per-row count of samples above A over all iterations and the PAPR after
     each iteration, shape (iterations, rows)."""
     a = threshold_from_ratio(x0, cfg.clip_ratio_db)
@@ -176,11 +190,11 @@ def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = 
         if record:
             counts += (np.abs(x) > a[:, None]).sum(axis=1)
         if cfg.strategy == "pw":
-            x = peak_window_suppress(x, a, cfg.window, cfg.window_len)
+            x = peak_window_suppress(x, a, cfg.window, cfg.window_len, out=out)
         else:
-            x = clip(x, a)
+            x = clip(x, a, out=out)
             if cfg.strategy == "cf":
-                x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample)
+                x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample, out=out)
         if record:
             papr_track[it] = papr_db(x)
     return (x, counts, papr_track) if record else x

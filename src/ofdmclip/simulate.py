@@ -16,7 +16,10 @@ not depend on the SNR, so a run per SNR point would draw the same
 Gaussians and only scale them differently.  Sizing blocks by samples keeps
 every temporary block-sized, so peak memory grows with neither the run,
 the configs nor N*L.  The block is the only memory bound: the crest steps
-and kernels take it whole.
+and kernels take it whole.  A serial run allocates two block buffers once
+and every block writes its full-size complex rows into them through the
+steps' ``out=`` (synthesis, each crest step, the SER receiver's noisy rows
+and FFT), so no block frees memory the next one has to fault back in.
 
 Measurements go through the checked rules: PAPR through ``metrics.papr_db``
 and signal power through ``metrics._mean_power``, the rules ``awgn`` and
@@ -37,7 +40,7 @@ from . import _kernels
 from .crest import ClipConfig, _rcf_rows
 from .metrics import _mean_power, papr_db
 from .modulation import _integral, bits_to_labels, constellation
-from .transform import OfdmConfig, extract_inband, synthesize
+from .transform import OfdmConfig, analyze, extract_inband, synthesize
 
 _BITS_STREAM = 0
 _NOISE_STREAM = 1
@@ -82,10 +85,13 @@ def noise_rng(seed: int, index: int) -> np.random.Generator:
     return substream(seed, _NOISE_STREAM, index)
 
 
-def _complex_noise(g: np.ndarray, sigma2) -> np.ndarray:
+def _complex_noise(g: np.ndarray, sigma2, out=None) -> np.ndarray:
     """Circular complex Gaussian noise of variance ``sigma2`` from standard
-    normals: real parts ``g[..., 0]``, imaginary parts ``g[..., 1]``."""
-    return (g[..., 0] + 1j * g[..., 1]) * np.sqrt(sigma2 / 2.0)
+    normals: real parts ``g[..., 0]``, imaginary parts ``g[..., 1]``; written
+    to ``out`` if given."""
+    noise = np.multiply(1j, g[..., 1], out=out)
+    np.add(g[..., 0], noise, out=noise)
+    return np.multiply(noise, np.sqrt(sigma2 / 2.0), out=noise)
 
 
 def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -99,15 +105,18 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
-def _crest(x, clip_cfg, ofdm):
+def _crest(x, clip_cfg, ofdm, out=None):
+    """The crest-reduced rows: ``x`` itself without crest reduction, else
+    new rows or ``out``."""
     if clip_cfg is None or clip_cfg.iterations == 0:
         return x
-    return _rcf_rows(x, clip_cfg, ofdm)
+    return _rcf_rows(x, clip_cfg, ofdm, out=out)
 
 
-def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
+def _symbol_errors(x, labels, ofdm, snr_db, seed, lo, out=None) -> np.ndarray:
     """Symbol errors of the transmitted rows ``x`` (symbols lo, lo+1, ...)
-    at every SNR point."""
+    at every SNR point; each point's received rows and their spectrum go to
+    ``out`` if given, which must not be ``x``."""
     axes = constellation(ofdm.mod_order).axes
     power = _mean_power(x, "SNR")[:, None]
     noisy = ~np.isposinf(snr_db)
@@ -117,22 +126,33 @@ def _symbol_errors(x, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
             g[i] = noise_rng(seed, lo + i).standard_normal((x.shape[1], 2))
     errors = np.zeros(snr_db.size, dtype=np.int64)
     for k, snr in enumerate(snr_db):
-        y = x + _complex_noise(g, power / 10.0 ** (snr / 10.0)) if noisy[k] else x
-        bins = extract_inband(np.fft.fft(y, norm="ortho", axis=-1), ofdm.n_subcarriers)
+        if noisy[k]:
+            y = _complex_noise(g, power / 10.0 ** (snr / 10.0), out)
+            spectrum = analyze(np.add(x, y, out=y), out=y)
+        else:
+            spectrum = analyze(x, out=out)
+        bins = extract_inband(spectrum, ofdm.n_subcarriers)
         errors[k] = np.count_nonzero(_kernels.nearest_labels(bins, *axes) != labels.ravel())
     return errors
 
 
-def _block(task):
+def _block(task, buffers=None):
     """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
     of every crest config, shape (configs, rows), or (with an SNR grid) the
-    symbol errors of the one config at every point."""
+    symbol errors of the one config at every point.
+
+    ``buffers`` (two complex arrays of at least hi - lo rows) take every
+    full-size complex result: the synthesized rows go to the first, each
+    config's crest steps to the second, and the SER receiver to whichever
+    the transmitted rows are not in.  Without them every step allocates."""
     ofdm, clip_cfgs, snr_db, seed, lo, hi = task
+    synth, work = (None, None) if buffers is None else (b[:hi - lo] for b in buffers)
     labels = _draw_labels(ofdm, seed, lo, hi)
-    x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
+    x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample, out=synth)
     if snr_db is None:
-        return np.stack([papr_db(_crest(x, cfg, ofdm)) for cfg in clip_cfgs])
-    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
+        return np.stack([papr_db(_crest(x, cfg, ofdm, work)) for cfg in clip_cfgs])
+    tx = _crest(x, clip_cfgs[0], ofdm, work)
+    return _symbol_errors(tx, labels, ofdm, snr_db, seed, lo, work if tx is x else x)
 
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
@@ -141,7 +161,8 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
              for lo in range(0, n_symbols, rows)]
     if workers == 1 or len(tasks) == 1:
-        return [_block(t) for t in tasks]
+        buffers = np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
+        return [_block(t, buffers) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_block, tasks))
 

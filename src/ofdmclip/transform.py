@@ -8,7 +8,8 @@ move to the top; the N*(L-1) middle bins are the out-of-band region.
 Both directions use the unitary 1/sqrt(size) scaling, so energy is
 preserved exactly (Parseval) and ``analyze`` inverts ``synthesize``.
 All functions accept a single vector or a batch with symbols on the last
-axis.
+axis.  ``embed_spectrum``, ``synthesize`` and ``analyze`` write their result
+into ``out=`` when given; the FFTs then run in place.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .modulation import constellation
 
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
@@ -50,17 +52,19 @@ class OfdmConfig:
         return self.n_subcarriers * self.oversample
 
 
-def embed_spectrum(bins: np.ndarray, oversample: int) -> np.ndarray:
-    """Place N symbol bins into the in-band slots of an N*oversample spectrum."""
+def embed_spectrum(bins: np.ndarray, oversample: int, *, out=None) -> np.ndarray:
+    """Place N symbol bins into the in-band slots of an N*oversample spectrum,
+    written to ``out`` if given (a complex128 array of the spectrum's shape)."""
     bins = np.asarray(bins, dtype=np.complex128)
     n = bins.shape[-1]
     _check_length(n, "symbol length")
     if oversample not in _OVERSAMPLE_CHOICES:
         raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {oversample}")
     total = n * oversample
-    out = np.zeros(bins.shape[:-1] + (total,), dtype=np.complex128)
+    out = _kernels.out_rows(out, bins.shape[:-1] + (total,))
     out[..., :n // 2] = bins[..., :n // 2]
     out[..., total - n // 2:] = bins[..., n // 2:]
+    out[..., n // 2:total - n // 2] = 0.0
     return out
 
 
@@ -75,17 +79,22 @@ def extract_inband(spectrum: np.ndarray, n_subcarriers: int) -> np.ndarray:
         [spectrum[..., :n // 2], spectrum[..., total - n // 2:]], axis=-1)
 
 
-def synthesize(symbol: np.ndarray, oversample: int = 1) -> np.ndarray:
+def synthesize(symbol: np.ndarray, oversample: int = 1, *, out=None) -> np.ndarray:
     """Time-domain OFDM signal for one frequency-domain symbol.
 
     Returns N*oversample complex samples with the same total energy as the
-    input bins.
+    input bins, written to ``out`` if given (a complex128 array of that
+    shape, which may be the input itself when oversample is 1).
     """
-    return np.fft.ifft(embed_spectrum(symbol, oversample), norm="ortho", axis=-1)
+    spectrum = embed_spectrum(symbol, oversample, out=out)
+    return np.fft.ifft(spectrum, norm="ortho", axis=-1, out=spectrum)
 
 
-def analyze(signal: np.ndarray) -> np.ndarray:
-    """Forward transform back to the (oversampled) spectrum."""
+def analyze(signal: np.ndarray, *, out=None) -> np.ndarray:
+    """Forward transform back to the (oversampled) spectrum, written to
+    ``out`` if given (a complex128 array of the signal's shape, or the
+    signal itself)."""
     signal = np.asarray(signal, dtype=np.complex128)
     _check_length(signal.shape[-1], "signal length")
-    return np.fft.fft(signal, norm="ortho", axis=-1)
+    out = _kernels.out_rows(out, signal.shape)
+    return np.fft.fft(signal, norm="ortho", axis=-1, out=out)

@@ -1,4 +1,5 @@
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -197,3 +198,16 @@ def test_unwritable_path_exits_3(tmp_path, capsys):
     code = main(["ccdf", "--symbols", "50", "--out", out])
     assert code == 3
     assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_csv_mode_follows_umask(tmp_path, umask, mode):
+    # the CSV gets the mode a plain open() would give it, not mkstemp's 0600
+    out = tmp_path / "x.csv"
+    old = os.umask(umask)
+    try:
+        run(tmp_path, "ccdf", "--symbols", "20", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode

@@ -421,3 +421,33 @@ def test_clip_config_validation():
             ClipConfig(**{field: value})
     assert ClipConfig(iterations=np.int64(2), window_len=np.int32(5)).iterations == 2
     assert ClipConfig(window="kaiser").window.name == "kaiser"
+
+
+# --- out= -----------------------------------------------------------------------
+
+STEPS = {
+    "clip": lambda x, **kw: clip(x, 0.9, **kw),
+    "oob_filter": lambda x, **kw: oob_filter(x, OFDM.n_subcarriers, OFDM.oversample, **kw),
+    "peak_window_suppress": lambda x, **kw: peak_window_suppress(x, 0.9, "hann", 11, **kw),
+}
+
+
+@pytest.mark.parametrize("shape", [(256,), (20, 256), (4, 5, 256)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("step", STEPS)
+def test_steps_write_into_out(rng, step, shape):
+    f = STEPS[step]
+    x = random_signal(rng, int(np.prod(shape)), scale=1.5).reshape(shape)
+    before = x.copy()
+    ref = f(x)
+    # a fresh array; a view of every other entry along the first axis (in
+    # 3-D its leading axes do not merge into rows without a copy); the input
+    strided = np.empty((2 * shape[0],) + shape[1:], complex)[::2]
+    for out in (np.empty(shape, complex), strided, x):
+        assert f(x, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+        if out is not x:
+            assert x.tobytes() == before.tobytes()
+    for bad in (np.empty(shape[:-1] + (255,), complex), np.empty(shape, np.complex64),
+                np.empty(shape), before.tolist()):
+        with pytest.raises(ValueError, match="out must be a complex128 array"):
+            f(before, out=bad)

@@ -84,6 +84,21 @@ def case_flattop(rng):
     return x, np.full(20, 1.3), w
 
 
+def case_long_plateaus(rng):
+    # plateaus of 3 to 6 samples in mid-row, followed by a lower, equal-then-
+    # lower or higher sample, and reaching the last sample; every tenth row
+    # is one plateau
+    m = rng.uniform(0.0, 1.0, (60, 32))
+    for r in range(60):
+        length = 3 + r % 4
+        start = 5 + r % 7
+        m[r, start:start + length] = 3.0
+        m[r, start + length] = (1.0, 4.0, 3.0)[r % 3]
+        m[r, -length:] = 2.0 + r % 2
+    m[::10] = 2.5
+    return with_phases(rng, m), rng.uniform(0.5, 2.5, 60), window("hann", 5)
+
+
 def case_many_blocks(rng):
     rows = 131
     return batch(rng, rows=rows), rng.uniform(1.0, 1.6, rows), window("kaiser", 9)
@@ -91,15 +106,27 @@ def case_many_blocks(rng):
 
 @pytest.mark.parametrize("make", [
     case_random_rows, case_quantized_plateaus, case_boundary_peaks,
-    case_window_longer_than_row, case_rect_1, case_flattop, case_many_blocks,
+    case_window_longer_than_row, case_rect_1, case_flattop, case_long_plateaus,
+    case_many_blocks,
 ], ids=lambda f: f.__name__[5:])
 def test_peak_suppress_matches_scalar_loop(rng, make):
     x, thresh, w = make(rng)
     mag = np.abs(x)
-    y = _kernels.peak_suppress(x, mag, thresh, w)
     ref = peak_suppress_loop(x, mag, thresh, w)
-    assert np.array_equal(y, ref)
-    assert y.tobytes() == ref.tobytes()
+    # a new array, a given one, and (last, as it overwrites x) the input itself
+    for into in (None, np.empty_like(x), x):
+        y = _kernels.peak_suppress(x, mag, thresh, w, out=into)
+        assert into is None or y is into
+        assert np.array_equal(y, ref)
+        assert y.tobytes() == ref.tobytes()
+
+
+def test_peak_suppress_rejects_wrong_out(rng):
+    x, thresh, w = case_random_rows(rng)
+    for bad in (np.empty((50, 255), complex), np.empty(x.shape, np.complex64),
+                np.empty(x.shape), x.tolist()):
+        with pytest.raises(ValueError, match="out must be a complex128 array"):
+            _kernels.peak_suppress(x, np.abs(x), thresh, w, out=bad)
 
 
 def nearest_labels_joint(points, constellation):

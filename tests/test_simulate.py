@@ -1,4 +1,5 @@
 """Deterministic seeding and parallel-schedule independence."""
+import sys
 import warnings
 
 import numpy as np
@@ -153,9 +154,9 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     def spy(name):
         kernel = getattr(simulate._kernels, name)
 
-        def call(x, *args):
+        def call(x, *args, **kwargs):
             sizes[name].append(x.size)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
         monkeypatch.setattr(simulate._kernels, name, call)
 
     spy("peak_suppress")
@@ -165,6 +166,37 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     ser_errors(ofdm, cfg, [6.0, np.inf], n_symbols, seed=3)
     assert sizes["peak_suppress"] and sizes["nearest_labels"]
     assert max(sizes["peak_suppress"] + sizes["nearest_labels"]) <= budget
+
+
+def minor_faults() -> int:
+    import resource  # POSIX only
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+@pytest.mark.parametrize("ofdm, strategy", [
+    (OfdmConfig(64, 4, 8), "none"),
+    (OfdmConfig(64, 4, 8), "cf"),
+    (OfdmConfig(64, 4, 8), "pw"),
+    (OfdmConfig(1024, 8, 64), "pw"),
+], ids=["none", "cf", "pw", "bign_pw"])
+def test_serial_blocks_reuse_their_memory(ofdm, strategy):
+    # A serial run writes every block into the same two buffers, so once the
+    # process is warm ten more blocks cost almost no page faults; block-sized
+    # arrays freed and trimmed after each block would be faulted back in,
+    # hundreds of pages a block.
+    cfg = ClipConfig(3.0, 5, strategy)
+    rows = simulate._BLOCK_SAMPLES // ofdm.n_samples
+
+    def faults(n_blocks):
+        start = minor_faults()
+        papr_samples(ofdm, cfg, n_blocks * rows, seed=1)
+        return minor_faults() - start
+
+    for _ in range(2):  # warm-up: the allocator adapts its thresholds on the first frees
+        faults(12)
+    extra = faults(12) - faults(2)
+    assert extra <= 10 * 10
 
 
 @pytest.fixture

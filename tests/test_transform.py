@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ofdmclip import (OfdmConfig, analyze, constellation, extract_inband,
-                      map_bits, synthesize)
+from ofdmclip import (OfdmConfig, analyze, constellation, embed_spectrum,
+                      extract_inband, map_bits, synthesize)
 
 
 def direct_dft(x):
@@ -96,6 +96,26 @@ def test_batched_last_axis(rng):
     batch = synthesize(syms, 2)
     rows = np.stack([synthesize(s, 2) for s in syms])
     assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("oversample", (1, 4))
+@pytest.mark.parametrize("name", ("embed_spectrum", "synthesize", "analyze"))
+def test_transforms_write_into_out(rng, name, oversample):
+    f = {"embed_spectrum": lambda x, **kw: embed_spectrum(x, oversample, **kw),
+         "synthesize": lambda x, **kw: synthesize(x, oversample, **kw),
+         "analyze": analyze}[name]
+    x = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
+    before = x.copy()
+    ref = f(x)
+    fresh = np.empty_like(ref)
+    assert f(x, out=fresh) is fresh and fresh.tobytes() == ref.tobytes()
+    assert x.tobytes() == before.tobytes()
+    if ref.shape == x.shape:  # the input itself; FFTs in place are exact
+        assert f(x, out=x) is x and x.tobytes() == ref.tobytes()
+    for bad in (np.empty((6, 31), complex), np.empty(ref.shape, np.complex64),
+                np.empty(ref.shape), ref.tolist()):
+        with pytest.raises(ValueError, match="out must be a complex128 array"):
+            f(before, out=bad)
 
 
 def test_size_validation():
