@@ -1,9 +1,9 @@
 """Experiment runner: CCDF curves, SER sweeps, and window comparisons as CSV.
 
-Every flag default can be overridden by an environment variable with the
-``OFDMCLIP_`` prefix (``--cr-db`` -> ``OFDMCLIP_CR_DB`` and so on); explicit
-flags beat the environment.  Output is written atomically — a failed run
-never leaves a partial CSV behind.
+Config flags default to ``OfdmConfig()`` and ``ClipConfig()``.  A command reads
+the ``OFDMCLIP_`` variable of each of its flags (``--cr-db`` -> ``OFDMCLIP_CR_DB``)
+as that flag's default; explicit flags beat the environment.  Output is written
+atomically — a failed run never leaves a partial CSV behind.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric error.
 """
@@ -21,7 +21,7 @@ from .crest import ClipConfig, STRATEGIES
 from .metrics import ccdf_point_db, default_threshold_grid, estimate_ccdf
 from .modulation import SUPPORTED_ORDERS
 from .simulate import _check_run, papr_samples, ser_errors
-from .transform import OfdmConfig
+from .transform import _OVERSAMPLE_CHOICES, OfdmConfig
 from .windows import WINDOW_NAMES, WindowKind
 
 ENV_PREFIX = "OFDMCLIP_"
@@ -37,64 +37,63 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-class _EnvOverrideError(Exception):
-    pass
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: its own flags' ``OFDMCLIP_*`` variables replace their defaults."""
 
-
-def _env(flag: str, cast, fallback):
-    name = ENV_PREFIX + flag.replace("-", "_").upper()
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise _EnvOverrideError(f"invalid {name}={raw!r}: {exc}")
+    def parse_known_args(self, args=None, namespace=None):
+        for action in self._actions[1:]:  # [0] is --help
+            name = ENV_PREFIX + action.dest.upper()
+            if (raw := os.environ.get(name)) is not None:
+                try:
+                    action.default = (action.type or str)(raw)
+                except ValueError as exc:
+                    raise argparse.ArgumentTypeError(f"invalid {name}={raw!r}: {exc}")
+        return super().parse_known_args(args, namespace)
 
 
 def _add_common(p: argparse.ArgumentParser, default_out: str, with_strategy: bool = True):
-    p.add_argument("--n", type=int, default=_env("n", int, 64),
+    ofdm, clip = OfdmConfig(), ClipConfig()
+    p.add_argument("--n", type=int, default=ofdm.n_subcarriers,
                    help="subcarrier count (power of two)")
-    p.add_argument("--mod", type=int, choices=SUPPORTED_ORDERS,
-                   default=_env("mod", int, 8), help="constellation order")
-    p.add_argument("--oversample", type=int, choices=(1, 2, 4, 8),
-                   default=_env("oversample", int, 4), help="time-domain oversampling factor")
-    p.add_argument("--cr-db", type=float, default=_env("cr-db", float, 3.0),
+    p.add_argument("--mod", type=int, choices=SUPPORTED_ORDERS, default=ofdm.mod_order,
+                   help="constellation order")
+    p.add_argument("--oversample", type=int, choices=_OVERSAMPLE_CHOICES,
+                   default=ofdm.oversample, help="time-domain oversampling factor")
+    p.add_argument("--cr-db", type=float, default=clip.clip_ratio_db,
                    help="clipping ratio over RMS in dB")
-    p.add_argument("--iterations", type=int, default=_env("iterations", int, 5),
+    p.add_argument("--iterations", type=int, default=clip.iterations,
                    help="clip-and-filter iteration count (0 = no crest reduction)")
     if with_strategy:
-        p.add_argument("--clip", choices=STRATEGIES, default=_env("clip", str, "cf"),
+        p.add_argument("--clip", choices=STRATEGIES, default=clip.strategy,
                        help="strategy: none=hard clip, cf=clip+filter, pw=peak window")
-        p.add_argument("--window", choices=WINDOW_NAMES, default=_env("window", str, "hann"),
+        p.add_argument("--window", choices=WINDOW_NAMES, default=clip.window.name,
                        help="window used by the pw strategy")
-    p.add_argument("--kaiser-beta", type=float, default=_env("kaiser-beta", float, 5.0),
+    p.add_argument("--kaiser-beta", type=float, default=clip.window.beta,
                    help="kaiser window shape parameter")
-    p.add_argument("--window-len", type=int, default=_env("window-len", int, 11),
+    p.add_argument("--window-len", type=int, default=clip.window_len,
                    help="peak-window length in samples (odd)")
-    p.add_argument("--symbols", type=int, default=_env("symbols", int, 10000),
+    p.add_argument("--symbols", type=int, default=10000,
                    help="number of OFDM symbols to simulate")
-    p.add_argument("--seed", type=int, default=_env("seed", int, 1),
-                   help="master RNG seed (64-bit unsigned)")
-    p.add_argument("--workers", type=int, default=_env("workers", int, 1),
+    p.add_argument("--seed", type=int, default=1, help="master RNG seed (64-bit unsigned)")
+    p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (does not affect results)")
-    p.add_argument("--out", default=_env("out", str, default_out), help="output CSV path")
+    p.add_argument("--out", default=default_out, help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofdmclip",
         description="OFDM PAPR-reduction experiments (CCDF, SER, window sweep)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("ccdf", help="PAPR CCDF of random OFDM symbols")
     _add_common(p, "ccdf.csv")
 
     p = sub.add_parser("ser", help="symbol error rate over an SNR grid")
     _add_common(p, "ser.csv")
-    p.add_argument("--snr-start", type=float, default=_env("snr-start", float, 0.0))
-    p.add_argument("--snr-stop", type=float, default=_env("snr-stop", float, 14.0))
-    p.add_argument("--snr-step", type=float, default=_env("snr-step", float, 2.0))
+    p.add_argument("--snr-start", type=float, default=0.0)
+    p.add_argument("--snr-stop", type=float, default=14.0)
+    p.add_argument("--snr-step", type=float, default=2.0)
 
     p = sub.add_parser("window-sweep",
                        help="peak-window PAPR comparison across the five named windows")
@@ -192,12 +191,12 @@ _COMMANDS = {"ccdf": _run_ccdf, "ser": _run_ser, "window-sweep": _run_window_swe
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        parser = build_parser()
-    except _EnvOverrideError as exc:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentTypeError as exc:  # a malformed OFDMCLIP_* value
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args, parser)
     except OSError as exc:

@@ -46,9 +46,14 @@ def _clip_gain(clip_ratio_db) -> float:
     return gain
 
 
+def _check_window_len(window_len, what: str) -> None:
+    if _integral(window_len, what) < 1 or window_len % 2 == 0:
+        raise ValueError(f"{what} must be odd and >= 1, got {window_len}")
+
+
 @dataclass(frozen=True)
 class ClipConfig:
-    """Crest-reduction parameters (defaults follow the CLI defaults)."""
+    """Crest-reduction parameters; the CLI reads its defaults from these."""
 
     clip_ratio_db: float = 3.0
     iterations: int = 5
@@ -58,12 +63,10 @@ class ClipConfig:
 
     def __post_init__(self):
         _clip_gain(self.clip_ratio_db)
-        if _integral(self.iterations, "iterations") < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        _integral(self.iterations, "iterations", 0)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
-        if _integral(self.window_len, "window_len") < 1 or self.window_len % 2 == 0:
-            raise ValueError(f"window_len must be odd and >= 1, got {self.window_len}")
+        _check_window_len(self.window_len, "window_len")
         object.__setattr__(self, "window", as_window_kind(self.window))
 
 
@@ -159,9 +162,7 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int, *,
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
     lobes may locally amplify).  The result goes to ``out`` if given.
     """
-    window_len = _integral(window_len, "window length")
-    if window_len < 1 or window_len % 2 == 0:
-        raise ValueError(f"window length must be odd and >= 1, got {window_len}")
+    _check_window_len(window_len, "window length")
     x = np.asarray(signal, dtype=np.complex128)
     mag = np.abs(x)
     level = _row_levels(a, mag).reshape(-1)

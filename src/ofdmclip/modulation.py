@@ -57,12 +57,15 @@ def _build_points(m: int) -> np.ndarray:
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
 
 
-def _integral(value, name: str):
-    """``value`` through operator.index; anything not integral raises ValueError."""
+def _integral(value, name: str, low=None):
+    """``value`` through operator.index; not integral or below ``low`` raises ValueError."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return index
 
 
 def constellation(m: int) -> Constellation:

@@ -57,11 +57,9 @@ def _check_seed(seed: int) -> int:
 
 def _check_run(n_symbols: int, seed: int, workers: int) -> None:
     """The run parameters every driver takes; ValueError names the bad one."""
-    if _integral(n_symbols, "n_symbols") < 1:
-        raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
+    _integral(n_symbols, "n_symbols", 1)
     _check_seed(seed)
-    if _integral(workers, "workers") < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _integral(workers, "workers", 1)
 
 
 def _check_snr(snr_db) -> None:

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulation import constellation
+from .modulation import _integral, constellation
 
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _check_length(n: int, what: str) -> None:
-    if not (_is_pow2(n) and n >= 2):
+def _check_length(n, what: str) -> None:
+    if _integral(n, what) < 2 or n & (n - 1):
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
+
+
+def _check_oversample(oversample) -> None:
+    if _integral(oversample, "oversample") not in _OVERSAMPLE_CHOICES:
+        raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {oversample}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,7 @@ class OfdmConfig:
 
     def __post_init__(self):
         _check_length(self.n_subcarriers, "n_subcarriers")
-        if self.oversample not in _OVERSAMPLE_CHOICES:
-            raise ValueError(
-                f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {self.oversample}")
+        _check_oversample(self.oversample)
         constellation(self.mod_order)  # ValueError for an unsupported order
 
     @property
@@ -58,8 +57,7 @@ def embed_spectrum(bins: np.ndarray, oversample: int, *, out=None) -> np.ndarray
     bins = np.asarray(bins, dtype=np.complex128)
     n = bins.shape[-1]
     _check_length(n, "symbol length")
-    if oversample not in _OVERSAMPLE_CHOICES:
-        raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {oversample}")
+    _check_oversample(oversample)
     total = n * oversample
     out = _kernels.out_rows(out, bins.shape[:-1] + (total,))
     out[..., :n // 2] = bins[..., :n // 2]
@@ -73,8 +71,10 @@ def extract_inband(spectrum: np.ndarray, n_subcarriers: int) -> np.ndarray:
     spectrum = np.asarray(spectrum)
     total = spectrum.shape[-1]
     n = n_subcarriers
-    if total % n or not _is_pow2(total // n):
+    _check_length(n, "n_subcarriers")
+    if total % n:
         raise ValueError(f"spectrum length {total} does not oversample {n} subcarriers")
+    _check_oversample(total // n)
     return np.concatenate(
         [spectrum[..., :n // 2], spectrum[..., total - n // 2:]], axis=-1)
 

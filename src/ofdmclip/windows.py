@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modulation import _integral
+
 WINDOW_NAMES = ("rect", "hann", "hamming", "blackman", "kaiser", "flattop")
 
 DEFAULT_KAISER_BETA = 5.0
@@ -73,9 +75,7 @@ def _mirror(half: np.ndarray, length: int) -> np.ndarray:
 def window(kind, length: int) -> np.ndarray:
     """Coefficients of the selected window, length >= 1."""
     kind = as_window_kind(kind)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"window length must be >= 1, got {length}")
+    length = _integral(length, "window length", 1)
     if kind.name == "rect" or length == 1:
         return np.ones(length)
 

@@ -1,11 +1,20 @@
+import argparse
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmclip.cli import main
+from ofdmclip import (DEFAULT_KAISER_BETA, STRATEGIES, SUPPORTED_ORDERS, WINDOW_NAMES,
+                      ClipConfig, OfdmConfig)
+from ofdmclip.cli import SWEEP_WINDOWS, build_parser, main
+from ofdmclip.transform import _OVERSAMPLE_CHOICES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(tmp_path, *argv, expect=0):
@@ -166,6 +175,16 @@ def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):
     assert "OFDMCLIP_SYMBOLS" in capsys.readouterr().err
 
 
+def test_env_value_applies_only_to_its_command(tmp_path, monkeypatch, capsys):
+    # ccdf has no --snr-step, so it never reads OFDMCLIP_SNR_STEP
+    monkeypatch.setenv("OFDMCLIP_SNR_STEP", "lots")
+    assert main(["ccdf", "--symbols", "20", "--out", str(tmp_path / "c.csv")]) == 0
+    capsys.readouterr()
+    assert main(["ser", "--symbols", "20", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "OFDMCLIP_SNR_STEP" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_unsupported_env_mod_is_usage_error(tmp_path, monkeypatch):
     # argparse checks choices on flags only, so OfdmConfig checks the default
     monkeypatch.setenv("OFDMCLIP_MOD", "5")
@@ -211,3 +230,42 @@ def test_csv_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("command", ["ccdf", "ser", "window-sweep"])
+def test_parser_defaults_are_the_config_defaults(monkeypatch, command):
+    for name in list(os.environ):
+        if name.startswith("OFDMCLIP_"):
+            monkeypatch.delenv(name)
+    ofdm, clip = OfdmConfig(), ClipConfig()
+    expected = {"n": ofdm.n_subcarriers, "oversample": ofdm.oversample, "mod": ofdm.mod_order,
+                "cr_db": clip.clip_ratio_db, "iterations": clip.iterations,
+                "clip": clip.strategy, "window": clip.window.name,
+                "kaiser_beta": DEFAULT_KAISER_BETA, "window_len": clip.window_len}
+    choices = {"mod": SUPPORTED_ORDERS, "oversample": _OVERSAMPLE_CHOICES,
+               "clip": STRATEGIES, "window": WINDOW_NAMES}
+    if command == "window-sweep":  # no --clip or --window: its set_defaults fix them
+        expected.update(clip="pw", window=SWEEP_WINDOWS[0])
+        del choices["clip"], choices["window"]
+    parser = build_parser()
+    args = vars(parser.parse_args([command]))
+    assert {dest: args[dest] for dest in expected} == expected
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert {a.dest: a.choices for a in commands[command]._actions if a.choices} == choices
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OFDMCLIP_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def ofdmclip(*argv):
+        return subprocess.run([sys.executable, "-m", "ofdmclip", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = ofdmclip("ccdf", "--symbols", "20", "--out", str(tmp_path / "c.csv"))
+    assert done.returncode == 0, done.stderr
+    assert "(20 symbols)" in done.stdout and (tmp_path / "c.csv").exists()
+    done = ofdmclip("ccdf", "--mod", "5", "--out", str(tmp_path / "x.csv"))
+    assert done.returncode == 2 and "--mod" in done.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -127,6 +127,13 @@ def test_size_validation():
         analyze(np.ones(24, dtype=complex))
     with pytest.raises(ValueError):
         extract_inband(np.ones(24, dtype=complex), 16)
+    # an N that is not a power of two, N = 0, and a ratio embed_spectrum rejects
+    for spectrum, n in ((np.arange(12.0), 3), (np.ones(64), 0), (np.ones(64), 4)):
+        with pytest.raises(ValueError):
+            extract_inband(spectrum, n)
+    for f in (embed_spectrum, synthesize):
+        with pytest.raises(ValueError, match="oversample"):
+            f(np.ones(16, dtype=complex), 4.0)
 
 
 def test_ofdm_config_validation():
@@ -140,5 +147,9 @@ def test_ofdm_config_validation():
     for bad in (5, 32, 4.0, "4", None):
         with pytest.raises(ValueError, match="modulation order"):
             OfdmConfig(64, 4, bad)
+    for field, value in (("oversample", 4.0), ("n_subcarriers", 64.0)):
+        with pytest.raises(ValueError, match=field):
+            OfdmConfig(**{field: value})
     OfdmConfig(64, 4, np.int64(16))
     assert OfdmConfig(64, 4, 8).n_samples == 256
+    assert OfdmConfig(np.int64(64), np.int64(4), np.int64(8)).n_samples == 256

@@ -123,7 +123,7 @@ def test_symmetry_property(name, length):
 
 
 def test_invalid_lengths_rejected():
-    for bad in (0, -1, -100):
+    for bad in (0, -1, -100, 2.5):
         with pytest.raises(ValueError):
             window("hann", bad)
 
