@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .metrics import _mean_power, papr_db
 from .modulation import _integral
-from .transform import OfdmConfig, analyze, synthesize
+from .transform import OfdmConfig, _check_length, _check_oversample, analyze, synthesize
 from .windows import WindowKind, as_window_kind, window
 
 STRATEGIES = ("none", "cf", "pw")
@@ -140,6 +140,8 @@ def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int, *,
     if signal.shape[-1:] != (total,):
         raise ValueError(f"signal rows must have {n_subcarriers} * {oversample} samples, "
                          f"got {signal.shape or 'a scalar'}")
+    _check_length(n_subcarriers, "n_subcarriers")
+    _check_oversample(oversample)
     with np.errstate(invalid="ignore"):  # inf - inf; reported just below
         spectrum = analyze(signal, out=out)
     # bin 0 sums its row, so a NaN or inf sample leaves it non-finite

@@ -6,6 +6,16 @@ from SeedSequence([seed, 1, i]).  Results therefore depend only on
 (config, seed, symbol index) — never on chunking, worker count, or
 completion order — and runs are bit-reproducible at any parallelism level.
 
+The bit rule, stated on the raw PCG64 words that numpy's stability policy
+(NEP 19) keeps fixed: bit j of symbol i is the top bit of byte j of the raw
+64-bit outputs of PCG64(SeedSequence([seed, 0, i])), bytes taken low first
+from each word, ceil(bits / 8) words a symbol.  That is what
+``bits_rng(seed, i).integers(0, 2, n, dtype=np.uint8)`` gives, but
+``Generator.integers`` is not under that policy.  ``_draw_bits`` computes
+the words of a whole block in one pass: the SeedSequence hash over all rows
+at once, then PCG64 by jump-ahead.  The noise is still one generator per
+symbol (``noise_rng``).
+
 One work unit, the block: ``_run_blocks`` cuts symbols 0..n_symbols into
 blocks of whole rows, at most ``_BLOCK_SAMPLES`` time samples (or one row)
 and at most ceil(n_symbols / workers) rows, so every worker gets a block.
@@ -32,6 +42,7 @@ block.  Results are reassembled in index order.
 """
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -83,6 +94,147 @@ def noise_rng(seed: int, index: int) -> np.random.Generator:
     return substream(seed, _NOISE_STREAM, index)
 
 
+# The bit substreams of a whole block at once: numpy's SeedSequence hash over
+# rows, then PCG64 by jump-ahead (O'Neill, "PCG", HMC-CS-2014-0905).
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# generate_state(8, uint32) word j holds bits [_STATE_BITS[j % 4], +32) of
+# the PCG64 state (j < 4) or stream (j >= 4): generate_state(4, uint64) pairs
+# the words low first, and PCG64 takes its two 64-bit words high first.
+_STATE_BITS = (64, 96, 0, 32)
+
+
+def _hash_chain(start: int, mult: int, n: int) -> list:
+    """``start`` and the ``n`` products after it mod 2**32: the constants of
+    successive hashmix calls, each xor-ing one and multiplying by the next."""
+    chain = [start]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+@functools.cache
+def _seed_steps(n_entropy: int) -> list:
+    """(xor, multiply) uint32 constants of each vectorized SeedSequence step
+    for ``n_entropy`` entropy words: the pool fill, each pool word mixed into
+    the other three (zeros at its own place), each entropy word past the pool
+    mixed into all four, and generate_state's 8 output words."""
+    chain = _hash_chain(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, n_entropy - 4))
+    steps, t = [(chain[0:4], chain[1:5])], 4
+    for src in range(4):
+        xor, mult = [0] * 4, [0] * 4
+        for dst in (d for d in range(4) if d != src):
+            xor[dst], mult[dst] = chain[t], chain[t + 1]
+            t += 1
+        steps.append((xor, mult))
+    steps += [(chain[t:t + 4], chain[t + 1:t + 5]) for t in range(16, len(chain) - 1, 4)]
+    out = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+    steps.append((out[0:8], out[1:9]))
+    return [(np.array(x, dtype=np.uint32), np.array(m, dtype=np.uint32)) for x, m in steps]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = 0xCA01F9DD * x - 0x4973F715 * y
+    return x ^ x >> 16
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(8, np.uint32) for each row of the
+    uint32 ``entropy``: numpy's hash with every step taken over all rows."""
+    rows, n = entropy.shape
+    fill, *mixes, out = _seed_steps(n)
+    pool = np.zeros((rows, 4), dtype=np.uint32)
+    pool[:, :min(n, 4)] = entropy[:, :4]
+    pool = _hashmix(pool, *fill)
+    for src in range(4):
+        word = pool[:, src].copy()
+        pool = _mix(pool, _hashmix(word[:, None], *mixes[src]))
+        pool[:, src] = word
+    for src in range(4, n):
+        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], *mixes[src]))
+    return _hashmix(np.tile(pool, 2), *out)
+
+
+def _digits(values) -> np.ndarray:
+    """(len(values), 8) float64: the 16-bit digits, low first, of 128-bit ints."""
+    raw = b"".join(v.to_bytes(16, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u2").reshape(-1, 8).astype(np.float64)
+
+
+@functools.cache
+def _pcg64_jumps(n_words: int) -> np.ndarray:
+    """The first ``n_words`` output states of a PCG64 as a (17, 4 * n_words)
+    float64 map of its seed words.
+
+    Seeding with state s and stream q (increment c = 2q + 1) steps the LCG
+    twice, to (s + c) * M + c, and output k >= 1 steps it once more, so it
+    reads M**(k+1) * s + (1 + M + ... + M**(k+1)) * c mod 2**128.  That is
+    linear in the 16 16-bit halves of the seed words plus a constant row, so
+    one matmul gives each state's four 32-bit limbs before carries.  Every
+    term is below 2**48 and every sum below 17 * 2**48 < 2**53: float64 is
+    exact."""
+    mults, sums, a, c = [], [], _PCG64_MULT, 1 + _PCG64_MULT
+    for _ in range(n_words):
+        a = a * _PCG64_MULT & _MASK128
+        c = c + a & _MASK128
+        mults.append(a)
+        sums.append(c)
+    state, stream = _digits(mults), _digits([2 * v & _MASK128 for v in sums])
+    rows = []
+    for j in range(8):
+        digits = state if j < 4 else stream
+        for shift in (_STATE_BITS[j % 4] // 16, _STATE_BITS[j % 4] // 16 + 1):
+            row = np.zeros_like(digits)
+            row[:, shift:] = digits[:, :8 - shift]
+            rows.append(row)
+    rows.append(_digits(sums))
+    digits = np.stack(rows)
+    return (digits[..., 0::2] + 65536.0 * digits[..., 1::2]).transpose(0, 2, 1).reshape(17, -1)
+
+
+def _pcg64_raw(seed_words: np.ndarray, n_words: int) -> np.ndarray:
+    """The first ``n_words`` raw outputs of PCG64(SeedSequence) for each row
+    of generate_state(8, np.uint32) ``seed_words``."""
+    halves = np.ones((seed_words.shape[0], 17))
+    halves[:, 0:16:2] = seed_words & 0xFFFF
+    halves[:, 1:16:2] = seed_words >> 16
+    limbs = (halves @ _pcg64_jumps(n_words)).astype(np.uint64).reshape(-1, 4, n_words)
+    # the state mod 2**128 in 64-bit halves; the high half takes the carry
+    # out of limbs 0 and 1, which may exceed 32 bits before carries
+    lo = limbs[:, 0] + (limbs[:, 1] << 32)
+    hi = ((limbs[:, 1] + (limbs[:, 0] >> 32)) >> 32) + limbs[:, 2] + (limbs[:, 3] << 32)
+    # XSL-RR: the halves xor-ed, rotated right by the state's top 6 bits
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _draw_bits(seed: int, lo: int, hi: int, n_bits: int) -> np.ndarray:
+    """(hi - lo, n_bits) uint8: row i - lo is the bit draw of symbol i, the top
+    bits of the bytes of bits_rng(seed, i)'s raw words, low byte first."""
+    bits = np.empty((hi - lo, n_bits), dtype=np.uint8)
+    # SeedSequence splits an int into 32-bit words, low first: a seed or an
+    # index is one word below 2**32 and two from there on
+    head = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [_BITS_STREAM]
+    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+        if a >= b:
+            continue
+        index = np.arange(a, b, dtype=np.uint64)
+        words = [index & _MASK32] + ([index >> 32] if a >> 32 else [])
+        entropy = np.empty((b - a, len(head) + len(words)), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        entropy[:, len(head):] = np.stack(words, axis=1)
+        raw = _pcg64_raw(_seed_words(entropy), -(-n_bits // 8))
+        bits[a - lo:b - lo] = raw.astype("<u8", copy=False).view(np.uint8)[:, :n_bits] >> 7
+    return bits
+
+
 def _complex_noise(g: np.ndarray, sigma2, out=None) -> np.ndarray:
     """Circular complex Gaussian noise of variance ``sigma2`` from standard
     normals: real parts ``g[..., 0]``, imaginary parts ``g[..., 1]``; written
@@ -96,10 +248,7 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     """Per-symbol random bits, packed MSB-first into constellation labels."""
     const = constellation(ofdm.mod_order)
     k = const.bits_per_symbol
-    n_bits = ofdm.n_subcarriers * k
-    bits = np.empty((hi - lo, n_bits), dtype=np.uint8)
-    for i in range(hi - lo):
-        bits[i] = bits_rng(seed, lo + i).integers(0, 2, n_bits, dtype=np.uint8)
+    bits = _draw_bits(seed, lo, hi, ofdm.n_subcarriers * k)
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 

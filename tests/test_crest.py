@@ -185,6 +185,11 @@ def test_oob_filter_size_mismatch(rng):
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="finite"):
             oob_filter(with_sample(x, (1, 17), bad), 64, 4)
+    # N and L themselves, not only their product: L=16 is no oversample choice
+    for n, oversample, name in ((64, 4.0, "oversample"), (64.0, 4, "n_subcarriers"),
+                                (16, 16, "oversample")):
+        with pytest.raises(ValueError, match=name):
+            oob_filter(x, n, oversample)
 
 
 # --- peak_window_suppress ------------------------------------------------------

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ofdmclip import (ClipConfig, OfdmConfig, analyze, awgn, constellation,
-                      demap_points, extract_inband, map_bits, measure_ser, papr_db,
-                      papr_samples, rcf, ser_errors)
+from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze, awgn,
+                      constellation, demap_points, extract_inband, map_bits, measure_ser,
+                      papr_db, papr_samples, rcf, ser_errors)
 from ofdmclip import simulate
+from ofdmclip.modulation import bits_to_labels
 
 OFDM = OfdmConfig(64, 2, 16)
 # below, near and above the waterfall, plus the no-noise point
@@ -92,6 +93,45 @@ def reference_ser_errors(ofdm, cfg, snr_db, n_symbols, seed):
         rx = demap_points(extract_inband(analyze(y), ofdm.n_subcarriers), ofdm.mod_order)
         errors += int((rx != bits).reshape(-1, k).any(axis=1).sum())
     return errors
+
+
+def reference_labels(ofdm, seed, lo, hi):
+    """Symbols lo..hi's labels from numpy's own generator for each symbol."""
+    k = constellation(ofdm.mod_order).bits_per_symbol
+    bits = [simulate.bits_rng(seed, i).integers(0, 2, ofdm.n_subcarriers * k, dtype=np.uint8)
+            for i in range(lo, hi)]
+    return bits_to_labels(np.concatenate(bits), k).reshape(hi - lo, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 2, 2**32 + 2)],
+                         ids=["first", "across_2**32"])
+def test_block_draw_is_numpys_bit_stream(seed, lo, hi):
+    # bit counts N * log2(M) from 2 to 6144: not all multiples of 8 or 64;
+    # an index of 2**32 or more hashes as two words
+    for n in (2, 4, 64, 1024):
+        for order in SUPPORTED_ORDERS:
+            ofdm = OfdmConfig(n, 1, order)
+            labels = simulate._draw_labels(ofdm, seed, lo, hi)
+            assert labels.tolist() == reference_labels(ofdm, seed, lo, hi).tolist()
+            for cut in range(lo + 1, hi):
+                parts = [simulate._draw_labels(ofdm, seed, lo, cut),
+                         simulate._draw_labels(ofdm, seed, cut, hi)]
+                assert np.concatenate(parts).tolist() == labels.tolist()
+
+
+def test_engine_builds_no_bit_generator(monkeypatch):
+    # the bits come from the block draw, never from a generator per symbol
+    cfg = ClipConfig(3.0, 3, "cf")
+    papr = reference_papr_db(OFDM, cfg, 200, seed=4)
+    errors = [reference_ser_errors(OFDM, cfg, snr, 40, seed=4) for snr in GRID]
+
+    def no_generator(*args):
+        raise AssertionError("a bit generator was built for one symbol")
+
+    monkeypatch.setattr(simulate, "bits_rng", no_generator)
+    assert papr_samples(OFDM, cfg, 200, seed=4).tobytes() == papr.tobytes()
+    assert ser_errors(OFDM, cfg, GRID, 40, seed=4).tolist() == errors
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
