@@ -14,8 +14,7 @@ from .modulation import (Constellation, SUPPORTED_ORDERS, constellation,
 from .simulate import papr_samples, ser_errors
 from .transform import (OfdmConfig, analyze, embed_spectrum, extract_inband,
                         synthesize)
-from .windows import (DEFAULT_KAISER_BETA, WINDOW_NAMES, WindowKind,
-                      bessel_i0, window)
+from .windows import DEFAULT_KAISER_BETA, WINDOW_NAMES, WindowKind, window
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,7 @@ __all__ = [
     "__version__",
     "OfdmConfig", "synthesize", "analyze", "embed_spectrum", "extract_inband",
     "Constellation", "SUPPORTED_ORDERS", "constellation", "map_bits", "demap_points",
-    "WindowKind", "WINDOW_NAMES", "DEFAULT_KAISER_BETA", "window", "bessel_i0",
+    "WindowKind", "WINDOW_NAMES", "DEFAULT_KAISER_BETA", "window",
     "ClipConfig", "ClipReport", "STRATEGIES", "threshold_from_ratio", "clip",
     "oob_filter", "peak_window_suppress", "rcf",
     "CcdfCurve", "papr_db", "estimate_ccdf", "ccdf_point_db", "default_threshold_grid",

@@ -28,14 +28,21 @@ class SerPoint:
     ser: float
 
 
+def _check_point(snr_db, hint: str = "") -> None:
+    if np.ndim(snr_db) != 0:
+        raise ValueError(f"snr_db must be one SNR point, got shape {np.shape(snr_db)}{hint}")
+
+
 def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     Noise variance is mean|x|^2 / 10**(snr_db/10) per complex sample, split
     evenly between the real and imaginary parts.  Deterministic in
     (seed, stream); snr_db=inf is the no-noise mode, NaN and -inf raise
-    ValueError, and so does an empty signal or one with NaN or inf samples.
+    ValueError, and so do an SNR grid, an empty signal and one with NaN or
+    inf samples.
     """
+    _check_point(snr_db)
     simulate._check_snr(snr_db)
     signal = np.asarray(signal, dtype=np.complex128)
     power = _mean_power(signal.ravel(), "SNR")
@@ -57,9 +64,7 @@ def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
     grid raises ValueError before anything is simulated (``ser_errors``
     takes grids).
     """
-    if np.ndim(snr_db) != 0:
-        raise ValueError(f"snr_db must be one SNR point, got shape {np.shape(snr_db)}; "
-                         "ser_errors takes a grid")
+    _check_point(snr_db, "; ser_errors takes a grid")
     errors = simulate.ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed, workers)
     sent = n_symbols * ofdm.n_subcarriers
     return SerPoint(float(snr_db), sent, errors, errors / sent)

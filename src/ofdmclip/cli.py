@@ -22,7 +22,7 @@ from .metrics import ccdf_point_db, default_threshold_grid, estimate_ccdf
 from .modulation import SUPPORTED_ORDERS
 from .simulate import _check_run, papr_samples, ser_errors
 from .transform import _OVERSAMPLE_CHOICES, OfdmConfig
-from .windows import WINDOW_NAMES, WindowKind
+from .windows import _KAISER_MAX_BETA, WINDOW_NAMES, WindowKind
 
 ENV_PREFIX = "OFDMCLIP_"
 
@@ -69,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser, default_out: str, with_strategy: boo
         p.add_argument("--window", choices=WINDOW_NAMES, default=clip.window.name,
                        help="window used by the pw strategy")
     p.add_argument("--kaiser-beta", type=float, default=clip.window.beta,
-                   help="kaiser window shape parameter")
+                   help=f"kaiser window shape parameter, in [0, {_KAISER_MAX_BETA:g})")
     p.add_argument("--window-len", type=int, default=clip.window_len,
                    help="peak-window length in samples (odd)")
     p.add_argument("--symbols", type=int, default=10000,

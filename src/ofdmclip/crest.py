@@ -178,29 +178,26 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int, *,
     return y
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, record: bool = False,
-              out=None):
-    """The clip loop behind rcf() and the Monte Carlo drivers, on rows of
-    independent symbols.  Returns the final rows, which every step writes
-    into ``out`` if given (``x0`` is left as it is); with ``record`` also the
-    per-row count of samples above A over all iterations and the PAPR after
-    each iteration, shape (iterations, rows)."""
+def _crest_step(x: np.ndarray, a, cfg: ClipConfig, ofdm: OfdmConfig, out=None) -> np.ndarray:
+    """One iteration of the clip loop at level(s) ``a``: a peak window, or a
+    clip followed, for ``cf``, by the OOB filter; written to ``out`` if given."""
+    if cfg.strategy == "pw":
+        return peak_window_suppress(x, a, cfg.window, cfg.window_len, out=out)
+    x = clip(x, a, out=out)
+    if cfg.strategy == "cf":
+        x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample, out=out)
+    return x
+
+
+def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, out=None) -> np.ndarray:
+    """The clip loop behind the Monte Carlo drivers, on rows of independent
+    symbols.  Returns the final rows, which every step writes into ``out`` if
+    given (``x0`` is left as it is)."""
     a = threshold_from_ratio(x0, cfg.clip_ratio_db)
-    counts = np.zeros(x0.shape[0], dtype=np.int64)
-    papr_track = np.empty((cfg.iterations, x0.shape[0]))
     x = x0
-    for it in range(cfg.iterations):
-        if record:
-            counts += (np.abs(x) > a[:, None]).sum(axis=1)
-        if cfg.strategy == "pw":
-            x = peak_window_suppress(x, a, cfg.window, cfg.window_len, out=out)
-        else:
-            x = clip(x, a, out=out)
-            if cfg.strategy == "cf":
-                x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample, out=out)
-        if record:
-            papr_track[it] = papr_db(x)
-    return (x, counts, papr_track) if record else x
+    for _ in range(cfg.iterations):
+        x = _crest_step(x, a, cfg, ofdm, out=out)
+    return x
 
 
 def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
@@ -216,11 +213,15 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
             f"symbol must have {ofdm.n_subcarriers} bins, got shape {symbol.shape}")
     if not np.isfinite(symbol).all():
         raise ValueError("symbol must be finite (no NaN or inf bins)")
-    x0 = synthesize(symbol, ofdm.oversample)
-    papr_before = papr_db(x0)
+    x = synthesize(symbol, ofdm.oversample)
+    papr_before = papr_db(x)
     if cfg.iterations == 0:
-        return x0, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
-    y, counts, papr_track = _rcf_rows(x0.reshape(1, -1), cfg, ofdm, record=True)
-    per_iter = papr_track[:, 0].copy()
-    return y.reshape(x0.shape), ClipReport(
-        papr_before, float(per_iter[-1]), int(counts[0]), per_iter)
+        return x, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
+    a = threshold_from_ratio(x, cfg.clip_ratio_db)
+    count = 0
+    per_iter = np.empty(cfg.iterations)
+    for it in range(cfg.iterations):
+        count += int((np.abs(x) > a).sum())
+        x = _crest_step(x, a, cfg, ofdm)
+        per_iter[it] = papr_db(x)
+    return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)

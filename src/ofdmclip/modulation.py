@@ -94,8 +94,13 @@ def bits_to_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     if bits.size % bits_per_symbol:
         raise ValueError(
             f"bit count {bits.size} is not divisible by {bits_per_symbol}")
-    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
-    return bits.reshape(-1, bits_per_symbol) @ weights
+    # shift-or in uint8, which holds the at most 6 bits of every supported order
+    columns = bits.reshape(-1, bits_per_symbol)
+    labels = columns[:, 0].copy()
+    for j in range(1, bits_per_symbol):
+        labels <<= 1
+        labels |= columns[:, j]
+    return labels
 
 
 def labels_to_bits(labels: np.ndarray, bits_per_symbol: int) -> np.ndarray:

@@ -28,6 +28,13 @@ def _check_length(n, what: str) -> None:
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
 
 
+def _row_length(array: np.ndarray, what: str) -> int:
+    """Length of the last axis; a 0-D array raises ValueError."""
+    if array.ndim == 0:
+        raise ValueError(f"{what} must have at least one axis, got a scalar")
+    return array.shape[-1]
+
+
 def _check_oversample(oversample) -> None:
     if _integral(oversample, "oversample") not in _OVERSAMPLE_CHOICES:
         raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}, got {oversample}")
@@ -55,7 +62,7 @@ def embed_spectrum(bins: np.ndarray, oversample: int, *, out=None) -> np.ndarray
     """Place N symbol bins into the in-band slots of an N*oversample spectrum,
     written to ``out`` if given (a complex128 array of the spectrum's shape)."""
     bins = np.asarray(bins, dtype=np.complex128)
-    n = bins.shape[-1]
+    n = _row_length(bins, "bins")
     _check_length(n, "symbol length")
     _check_oversample(oversample)
     total = n * oversample
@@ -69,7 +76,7 @@ def embed_spectrum(bins: np.ndarray, oversample: int, *, out=None) -> np.ndarray
 def extract_inband(spectrum: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """Inverse of ``embed_spectrum``: pull the N in-band bins back out."""
     spectrum = np.asarray(spectrum)
-    total = spectrum.shape[-1]
+    total = _row_length(spectrum, "spectrum")
     n = n_subcarriers
     _check_length(n, "n_subcarriers")
     if total % n:
@@ -95,6 +102,6 @@ def analyze(signal: np.ndarray, *, out=None) -> np.ndarray:
     ``out`` if given (a complex128 array of the signal's shape, or the
     signal itself)."""
     signal = np.asarray(signal, dtype=np.complex128)
-    _check_length(signal.shape[-1], "signal length")
+    _check_length(_row_length(signal, "signal"), "signal length")
     out = _kernels.out_rows(out, signal.shape)
     return np.fft.fft(signal, norm="ortho", axis=-1, out=out)

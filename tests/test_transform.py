@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ofdmclip import (OfdmConfig, analyze, constellation, embed_spectrum,
+from ofdmclip import (OfdmConfig, analyze, awgn, constellation, embed_spectrum,
                       extract_inband, map_bits, synthesize)
 
 
@@ -134,6 +134,21 @@ def test_size_validation():
     for f in (embed_spectrum, synthesize):
         with pytest.raises(ValueError, match="oversample"):
             f(np.ones(16, dtype=complex), 4.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: awgn(np.ones(8, complex), [1.0], 1), "snr_db"),
+    (lambda: awgn(np.ones(8, complex), np.array([1.0, 2.0]), 1), "snr_db"),
+    (lambda: synthesize(1.0 + 0j, 4), "got a scalar"),
+    (lambda: embed_spectrum(np.complex128(1.0), 4), "got a scalar"),
+    (lambda: analyze(1.0 + 0j), "got a scalar"),
+    (lambda: extract_inband(np.array(1.0 + 0j), 4), "got a scalar"),
+], ids=["awgn-list", "awgn-grid", "synthesize", "embed_spectrum", "analyze",
+        "extract_inband"])
+def test_boundary_raises_value_error(call, match):
+    # an SNR grid where awgn takes one point, and 0-D inputs to the transforms
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_ofdm_config_validation():
