@@ -38,6 +38,11 @@ def out_rows(out, shape) -> np.ndarray:
 # peak - half + d for each peak with depth 1 - a/|x|.  The envelope b is
 # capped at 1 and the gain 1 - min(b, 1) scales every sample.
 #
+# The search works on flat indices into the (rows, n) magnitudes: only the
+# samples above their row threshold are gathered, with their neighbours at
+# index - 1 and + 1; a neighbour read across a row end is masked by the
+# column (0 or n - 1), so no row sees the next one.
+#
 # The window offsets d run from W-1 down to 0, so every b[idx] receives its
 # peaks in ascending peak index: the float sums equal those of a scalar loop
 # that adds one whole window per peak, peak by peak.  For one d all targets
@@ -46,27 +51,32 @@ def out_rows(out, shape) -> np.ndarray:
 
 
 def _peaks(m, a):
-    """(rows, cols) of the peaks in the magnitudes ``m``, row by row in
-    ascending column order.  Only samples above the row threshold are looked
-    at; the rare rows where a candidate starts a plateau are searched whole
-    for the plateau's end."""
+    """Flat indices of the peaks in the (rows, n) magnitudes ``m``, in
+    ascending order.  Only samples above the row threshold are looked at;
+    the rare rows where a candidate starts a plateau are searched whole for
+    the plateau's end."""
     n = m.shape[1]
-    rows, cols = np.nonzero(m > a[:, None])
-    v = m[rows, cols]
-    rising = (cols == 0) | (m[rows, cols - 1] < v)
-    rows, cols, v = rows[rising], cols[rising], v[rising]
-    end = cols.copy()  # last sample of the plateau each candidate starts
-    flat = np.flatnonzero((cols < n - 1) & (m[rows, np.minimum(cols + 1, n - 1)] == v))
-    if flat.size:
-        r, inv = np.unique(rows[flat], return_inverse=True)
+    flat = m.reshape(-1)
+    last = flat.size - 1
+    at = np.flatnonzero(m > a[:, None])
+    col = at % n
+    v = flat[at]
+    rising = (col == 0) | (flat[at - 1] < v)
+    at, col, v = at[rising], col[rising], v[rising]
+    end = col.copy()  # last column of the plateau each candidate starts
+    right = flat[np.minimum(at + 1, last)]  # the sample after that column
+    plateau = np.flatnonzero((col < n - 1) & (right == v))
+    if plateau.size:
+        r, inv = np.unique(at[plateau] // n, return_inverse=True)
         sub = m[r]
         # the first j >= col with m[j + 1] != m[j], or the row's last sample
         change = np.ones(sub.shape, dtype=bool)
         np.not_equal(sub[:, 1:], sub[:, :-1], out=change[:, :-1])
-        at = np.flatnonzero(change)
-        end[flat] = at[np.searchsorted(at, inv * n + cols[flat])] - inv * n
-    keep = (end == n - 1) | (m[rows, np.minimum(end + 1, n - 1)] < v)
-    return rows[keep], cols[keep]
+        changes = np.flatnonzero(change)
+        end[plateau] = changes[np.searchsorted(changes, inv * n + col[plateau])] - inv * n
+        right[plateau] = flat[np.minimum(at[plateau] - col[plateau] + end[plateau] + 1, last)]
+    keep = (end == n - 1) | (right < v)
+    return at[keep]
 
 
 def peak_suppress(x, mag, thresh, w, *, out=None):
@@ -78,8 +88,9 @@ def peak_suppress(x, mag, thresh, w, *, out=None):
     if n == 0:  # the row padding below needs a sample
         return out
     half = (w.size - 1) // 2
-    rows, cols = _peaks(mag, thresh)
-    depth = 1.0 - thresh[rows] / mag[rows, cols]
+    peaks = _peaks(mag, thresh)
+    rows, cols = np.divmod(peaks, n)
+    depth = 1.0 - thresh[rows] / mag.reshape(-1)[peaks]
     # each row padded by `pad` on both sides so no shifted peak leaves its row
     pad = min(half, n - 1)
     b = np.zeros((x.shape[0], n + 2 * pad))
@@ -117,5 +128,6 @@ def nearest_labels(points, i_levels, q_levels):
 # ---------------------------------------------------------------------------
 
 def papr_db_rows(x):
-    p = x.real ** 2 + x.imag ** 2
+    p = np.square(x.real)
+    p += np.square(x.imag)
     return 10.0 * np.log10(p.max(axis=-1) * x.shape[-1] / p.sum(axis=-1))

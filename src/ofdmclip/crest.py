@@ -107,27 +107,32 @@ def clip(signal: np.ndarray, a, *, out=None) -> np.ndarray:
     the circle |y| = a, phases untouched.  ``a`` is one level or one per row.
     The result goes to ``out`` if given.
 
-    The over-threshold mask uses np.abs and the rescaled samples are nudged
-    until np.abs certifies them <= a, so re-clipping is a bit-exact no-op.
+    np.abs decides which samples are over the level; only those, at the flat
+    indices ``at``, are read, rescaled and written back.  A rescaled sample
+    is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
+    no-op.
     """
     x = np.asarray(signal, dtype=np.complex128)
     mag = np.abs(x)
     level = _row_levels(a, mag)
-    over = mag > level
     y = _kernels.out_rows(out, x.shape)
     if y is not x:
         np.copyto(y, x)
-    if over.any():
-        limit = np.broadcast_to(level, x.shape)[over]
-        xo = x[over]
-        scale = limit / mag[over]
+    at = np.flatnonzero(mag > level)
+    if at.size:
+        limit = level.reshape(-1)[at // x.shape[-1]]
+        xo = x.reshape(-1)[at]
+        scale = limit / mag.reshape(-1)[at]
         w = xo * scale
-        bad = np.abs(w) > limit
-        while bad.any():
-            scale = np.where(bad, np.nextafter(scale, 0.0), scale)
-            w = np.where(bad, xo * scale, w)
-            bad = np.abs(w) > limit
-        y[over] = w
+        bad = np.flatnonzero(np.abs(w) > limit)
+        while bad.size:
+            scale[bad] = np.nextafter(scale[bad], 0.0)
+            w[bad] = xo[bad] * scale[bad]
+            bad = bad[np.abs(w[bad]) > limit[bad]]
+        flat = y.reshape(-1)
+        flat[at] = w
+        if not np.may_share_memory(flat, y):  # an out= that reshapes only by copy
+            np.copyto(y, flat.reshape(y.shape))
     return y
 
 

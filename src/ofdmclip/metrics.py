@@ -41,8 +41,10 @@ def _mean_power(signal: np.ndarray, what: str) -> np.ndarray:
     shape = np.shape(signal)
     if shape[-1:] in ((), (0,)):
         raise ValueError(f"{what} needs non-empty rows, got {shape or 'a scalar'}")
+    mag = np.abs(signal)
     with np.errstate(over="ignore"):  # an overflowing |x|^2 is reported just below
-        power = np.mean(np.abs(signal) ** 2, axis=-1)
+        # in place; np.multiply, not np.square, which has no loop for bool
+        power = np.mean(np.multiply(mag, mag, out=mag), axis=-1)
     if not np.isfinite(power).all():
         raise ValueError(f"{what} needs finite samples (no NaN, inf or overflowing power)")
     if not power.all():

@@ -58,8 +58,11 @@ def _build_points(m: int) -> np.ndarray:
 
 
 def _integral(value, name: str, low=None):
-    """``value`` through operator.index; not integral or below ``low`` raises ValueError."""
+    """``value`` through operator.index; a bool, not integral or below ``low``
+    raises ValueError."""
     try:
+        if isinstance(value, bool):  # an int subclass: operator.index(True) is 1
+            raise TypeError
         index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

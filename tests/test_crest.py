@@ -113,6 +113,52 @@ def test_clip_rejects_nonpositive_level(rng):
             clip(1.0 + 0j, 0.5)
 
 
+def clip_oracle(x, a):
+    """Per-sample reference for ``clip``: a sample above its row's level a is
+    scaled by a/|x|, and the scale is stepped down one float at a time until
+    np.abs puts the sample at or under a.  Returns (y, number of steps)."""
+    levels = np.broadcast_to(np.asarray(a, dtype=float), x.shape[:-1])
+    y = x.copy()
+    steps = 0
+    for idx in np.ndindex(x.shape):
+        level, mag = levels[idx[:-1]], np.abs(x[idx])
+        if mag > level:
+            scale = level / mag
+            w = x[idx] * scale
+            while np.abs(w) > level:
+                scale = np.nextafter(scale, 0.0)
+                w = x[idx] * scale
+                steps += 1
+            y[idx] = w
+    return y, steps
+
+
+def test_clip_matches_per_sample_oracle(rng):
+    edge = random_signal(rng, 3 * 64, scale=1.5).reshape(3, 64)
+    # no sample above the level, every sample above it, and a mixed row
+    edge_levels = np.array([2.0 * np.abs(edge[0]).max(), 0.5 * np.abs(edge[1]).min(), 1.0])
+    cases = {
+        "1d": (random_signal(rng, 512, scale=1.5), 1.0),
+        "2d": (random_signal(rng, 6 * 256, scale=1.5).reshape(6, 256)
+               * rng.uniform(0.5, 2.0, (6, 1)), rng.uniform(0.5, 2.0, 6)),
+        "3d": (random_signal(rng, 3 * 4 * 64, scale=1.5).reshape(3, 4, 64),
+               rng.uniform(0.5, 2.0, (3, 4))),
+        "edge rows": (edge, edge_levels),
+    }
+    steps = 0
+    for name, (x, a) in cases.items():
+        ref, fired = clip_oracle(x, a)
+        steps += fired
+        assert clip(x, a).tobytes() == ref.tobytes(), name
+        strided = np.empty((2 * x.shape[0],) + x.shape[1:], complex)[::2]
+        assert clip(x, a, out=strided) is strided
+        assert strided.tobytes() == ref.tobytes(), name
+        inplace = x.copy()
+        assert clip(inplace, a, out=inplace) is inplace
+        assert inplace.tobytes() == ref.tobytes(), name
+    assert steps > 0  # the nudge was exercised
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), a=st.floats(0.1, 4.0), rows=st.integers(1, 5),
        name=st.sampled_from(WINDOW_NAMES))

@@ -48,6 +48,11 @@ def with_phases(rng, mag):
     return mag * np.exp(1j * rng.uniform(0.0, 2 * np.pi, mag.shape))
 
 
+def on_axes(rng, mag):
+    """Phases of 0, 90, 180 or 270 degrees, so np.abs gives ``mag`` exactly."""
+    return mag * rng.choice(np.array([1, 1j, -1, -1j]), mag.shape)
+
+
 def case_random_rows(rng):
     x = batch(rng, rows=50)
     return x, rng.uniform(0.8, 2.0, 50), window("hann", 11)
@@ -66,6 +71,21 @@ def case_boundary_peaks(rng):
     m[1, :2] = m[1, -2:] = 4.0
     m[2, 0], m[2, 1], m[2, -1], m[2, -2] = 4.0, 3.0, 4.0, 3.0
     return with_phases(rng, m), np.full(3, 2.0), window("hann", 5)
+
+
+def case_row_ends_below_next_start(rng):
+    # rows 0 and 1 end on a peak and the next row starts higher (row 1) or
+    # lower (row 2): a neighbour read across the row end would hide a peak
+    m = np.ones((3, 8))
+    m[0, -1], m[1, 0], m[1, -1], m[2, 0] = 3.0, 4.0, 4.0, 3.0
+    return on_axes(rng, m), np.full(3, 2.0), window("hann", 5)
+
+
+def case_equal_across_row_end(rng):
+    # a row's last sample equals the next row's first: not a plateau
+    m = np.ones((2, 8))
+    m[0, -1] = m[1, 0] = 3.0
+    return on_axes(rng, m), np.full(2, 2.0), window("hann", 5)
 
 
 def case_window_longer_than_row(rng):
@@ -106,6 +126,7 @@ def case_many_blocks(rng):
 
 @pytest.mark.parametrize("make", [
     case_random_rows, case_quantized_plateaus, case_boundary_peaks,
+    case_row_ends_below_next_start, case_equal_across_row_end,
     case_window_longer_than_row, case_rect_1, case_flattop, case_long_plateaus,
     case_many_blocks,
 ], ids=lambda f: f.__name__[5:])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmclip import SUPPORTED_ORDERS, constellation, demap_points, map_bits
+from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, constellation, demap_points,
+                      map_bits, papr_samples, window)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -124,6 +125,26 @@ def test_unsupported_order_rejected():
     assert constellation(np.int64(4)) is constellation(4)
     with pytest.raises(ValueError):
         map_bits([0, 1], 32)
+
+
+BOOL_SIZES = [
+    ("window length", lambda: window("hann", True)),
+    ("n_subcarriers", lambda: OfdmConfig(True, 4, 8)),
+    ("oversample", lambda: OfdmConfig(64, True, 8)),
+    ("modulation order", lambda: OfdmConfig(64, 4, True)),
+    ("iterations", lambda: ClipConfig(iterations=True)),
+    ("window_len", lambda: ClipConfig(window_len=True)),
+    ("n_symbols", lambda: papr_samples(OfdmConfig(), None, n_symbols=True, seed=1)),
+    ("seed", lambda: papr_samples(OfdmConfig(), None, 4, seed=False)),
+    ("workers", lambda: papr_samples(OfdmConfig(), None, 4, seed=1, workers=True)),
+]
+
+
+@pytest.mark.parametrize("field, make", BOOL_SIZES, ids=[field for field, _ in BOOL_SIZES])
+def test_bool_sizes_are_rejected(field, make):
+    # bool is an int subclass, so operator.index(True) is 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got (True|False)"):
+        make()
 
 
 def test_bit_length_must_divide():
