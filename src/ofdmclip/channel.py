@@ -37,20 +37,22 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     Noise variance is mean|x|^2 / 10**(snr_db/10) per complex sample, split
-    evenly between the real and imaginary parts.  Deterministic in
-    (seed, stream); snr_db=inf is the no-noise mode, NaN and -inf raise
-    ValueError, and so do an SNR grid, an empty signal and one with NaN or
-    inf samples.
+    evenly between the real and imaginary parts.  The normals are the first
+    2 * signal.size words of noise stream ``stream`` under ``seed`` (RNG
+    contract v2, see ``simulate``), so the output is deterministic in
+    (seed, stream).  snr_db=inf is the no-noise mode; NaN and -inf raise
+    ValueError, and so do an SNR grid, an empty signal, one with NaN or inf
+    samples, and a seed or stream outside [0, 2**64).
     """
     _check_point(snr_db)
     simulate._check_snr(snr_db)
+    seed, stream = simulate._check_u64(seed, "seed"), simulate._check_u64(stream, "stream index")
     signal = np.asarray(signal, dtype=np.complex128)
     power = _mean_power(signal.ravel(), "SNR")
     if np.isposinf(snr_db):
         return signal.copy()
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
-    g = simulate.noise_rng(seed, stream).standard_normal((signal.size, 2))
-    return signal + simulate._complex_noise(g, sigma2).reshape(signal.shape)
+    z = simulate._normals(seed, stream, stream + 1, signal.size)
+    return signal + (np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0) * z).reshape(signal.shape)
 
 
 def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
@@ -58,8 +60,9 @@ def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
     """Simulate the full chain and count constellation-symbol errors.
 
     Per OFDM symbol: random bits -> Gray map -> synthesize -> optional
-    crest reduction -> AWGN -> analyze -> in-band extraction -> nearest-
-    point demap.  Pure function of (configs, snr_db, n_symbols, seed);
+    crest reduction -> analyze -> in-band extraction -> AWGN on the in-band
+    bins (the same noise per bin as AWGN before the unitary FFT) ->
+    nearest-point demap.  Pure function of (configs, snr_db, n_symbols, seed);
     ``workers`` only changes the wall time.  ``snr_db`` is one point; a
     grid raises ValueError before anything is simulated (``ser_errors``
     takes grids).

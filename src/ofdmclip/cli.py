@@ -5,7 +5,7 @@ the ``OFDMCLIP_`` variable of each of its flags (``--cr-db`` -> ``OFDMCLIP_CR_DB
 as that flag's default; explicit flags beat the environment.  Output is written
 atomically — a failed run never leaves a partial CSV behind.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric error.
+Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric or memory error.
 """
 from __future__ import annotations
 
@@ -204,6 +204,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -1,48 +1,37 @@
 """Seeded Monte Carlo drivers for PAPR and SER experiments.
 
-Reproducibility contract: every OFDM symbol ``i`` in a run draws its data
-bits from the substream SeedSequence([seed, 0, i]) and its channel noise
-from SeedSequence([seed, 1, i]).  Results therefore depend only on
-(config, seed, symbol index) — never on chunking, worker count, or
-completion order — and runs are bit-reproducible at any parallelism level.
+RNG contract v2.  Stream s (0 = data bits, 1 = channel noise) of OFDM
+symbol i under ``seed`` is Philox4x64-10 (Salmon et al., SC11) with key
+(seed, s) and counters (w, i, 0, 0), w = 1, 2, ...: the raw words of
+``np.random.Philox(key=seed | s << 64, counter=i << 64)``, the reference
+generator ``substream`` builds for tests.  ``_words`` computes a whole block.
+Bit j of symbol i is bit j % 64, low bit first, of bits word j // 64.  With
+u = (word >> 11) * 2**-53 on its noise words, complex normal j is
+r*cos(t) + 1j*(r*sin(t)), r = sqrt(-2*log1p(-u[2j])), t = 2*pi*u[2j+1], so
+E|z|^2 = 2.  The SER receiver adds sqrt(P_i / 10**(snr/10) / 2) * z to the N
+in-band bins of row i's unitary FFT, P_i the row's mean power: exact in
+distribution, as a unitary FFT keeps white noise's variance per bin.
+Results depend only on (config, seed, symbol index), never on blocks or
+workers.  Bytes are reproducible per platform: ``log1p``, ``cos`` and
+``sin`` may differ in the last bit between CPUs.
 
-The bit rule, stated on the raw PCG64 words that numpy's stability policy
-(NEP 19) keeps fixed: bit j of symbol i is the top bit of byte j of the raw
-64-bit outputs of PCG64(SeedSequence([seed, 0, i])), bytes taken low first
-from each word, ceil(bits / 8) words a symbol.  That is what
-``bits_rng(seed, i).integers(0, 2, n, dtype=np.uint8)`` gives, but
-``Generator.integers`` is not under that policy.  ``_draw_bits`` computes
-the words of a whole block in one pass: the SeedSequence hash over all rows
-at once, then PCG64 by jump-ahead.  The noise is still one generator per
-symbol (``noise_rng``).
+One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
+rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
+workers) rows.  ``_block`` draws and synthesizes its rows once, runs every
+crest config on them, and for SER takes one FFT and demaps the in-band bins
+plus each SNR point's scaling of the one noise draw.  Every temporary is
+block-sized, whatever the run, the configs or N*L.  A serial run allocates
+two block buffers once, and every full-size complex result (synthesis, each
+crest step, the receiver's FFT) goes into them through ``out=``, so no block
+frees memory the next one faults back in.  Otherwise the blocks go to one
+process pool of at most one worker per block, reassembled in index order.
 
-One work unit, the block: ``_run_blocks`` cuts symbols 0..n_symbols into
-blocks of whole rows, at most ``_BLOCK_SAMPLES`` time samples (or one row)
-and at most ceil(n_symbols / workers) rows, so every worker gets a block.
-``_block`` draws and synthesizes its rows once, every requested crest
-config runs on them, and for SER each symbol's noise is drawn once and
-reused at every SNR point.  The reuse is exact: the noise substream does
-not depend on the SNR, so a run per SNR point would draw the same
-Gaussians and only scale them differently.  Sizing blocks by samples keeps
-every temporary block-sized, so peak memory grows with neither the run,
-the configs nor N*L.  The block is the only memory bound: the crest steps
-and kernels take it whole.  A serial run allocates two block buffers once
-and every block writes its full-size complex rows into them through the
-steps' ``out=`` (synthesis, each crest step, the SER receiver's noisy rows
-and FFT), so no block frees memory the next one has to fault back in.
-
-Measurements go through the checked rules: PAPR through ``metrics.papr_db``
-and signal power through ``metrics._mean_power``, the rules ``awgn`` and
-``threshold_from_ratio`` use.  A crest step that zeroes a whole symbol
-therefore raises ValueError instead of giving NaN or a noiseless SER.
-
-With ``workers=1`` or a one-block run every block runs in this process;
-otherwise the blocks go to one process pool of at most one worker per
-block.  Results are reassembled in index order.
+Measurements go through the checked rules, ``metrics.papr_db`` and
+``metrics._mean_power``, so a crest step that zeroes a whole symbol raises
+ValueError instead of giving NaN or a noiseless SER.
 """
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -56,20 +45,20 @@ from .transform import OfdmConfig, analyze, extract_inband, synthesize
 _BITS_STREAM = 0
 _NOISE_STREAM = 1
 _BLOCK_SAMPLES = 32768
-_SEED_MAX = 2 ** 64
+_U64_END = 2 ** 64
 
 
-def _check_seed(seed: int) -> int:
-    seed = _integral(seed, "seed")
-    if not 0 <= seed < _SEED_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+def _check_u64(value, name: str) -> int:
+    value = _integral(value, name)
+    if not 0 <= value < _U64_END:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 def _check_run(n_symbols: int, seed: int, workers: int) -> None:
     """The run parameters every driver takes; ValueError names the bad one."""
     _integral(n_symbols, "n_symbols", 1)
-    _check_seed(seed)
+    _check_u64(seed, "seed")
     _integral(workers, "workers", 1)
 
 
@@ -81,9 +70,12 @@ def _check_snr(snr_db) -> None:
 
 
 def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
-    """Independent generator for one (seed, stream kind, symbol index)."""
-    return np.random.default_rng(
-        np.random.SeedSequence([_check_seed(seed), stream_kind, _integral(index, "index")]))
+    """numpy's generator for one (seed, stream kind, symbol index): the
+    reference the engine's draws are tested against; the engine never
+    builds one."""
+    key = _check_u64(seed, "seed") | stream_kind << 64
+    return np.random.Generator(
+        np.random.Philox(key=key, counter=_check_u64(index, "index") << 64))
 
 
 def bits_rng(seed: int, index: int) -> np.random.Generator:
@@ -94,161 +86,57 @@ def noise_rng(seed: int, index: int) -> np.random.Generator:
     return substream(seed, _NOISE_STREAM, index)
 
 
-# The bit substreams of a whole block at once: numpy's SeedSequence hash over
-# rows, then PCG64 by jump-ahead (O'Neill, "PCG", HMC-CS-2014-0905).
-
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# generate_state(8, uint32) word j holds bits [_STATE_BITS[j % 4], +32) of
-# the PCG64 state (j < 4) or stream (j >= 4): generate_state(4, uint64) pairs
-# the words low first, and PCG64 takes its two 64-bit words high first.
-_STATE_BITS = (64, 96, 0, 32)
+# Philox4x64-10 over a whole block, counter words as pairs a = (c0, c2) and
+# b = (c1, c3): a round sets a = (hi(M1*c2) ^ c1 ^ k0, hi(M0*c0) ^ c3 ^ k1) and
+# b = (lo(M1*c2), lo(M0*c0)), the 128-bit products taken from 32-bit halves.
+_PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MULT_LO, _MULT_HI = _PHILOX_MULT & _LOW32, _PHILOX_MULT >> _32
 
 
-def _hash_chain(start: int, mult: int, n: int) -> list:
-    """``start`` and the ``n`` products after it mod 2**32: the constants of
-    successive hashmix calls, each xor-ing one and multiplying by the next."""
-    chain = [start]
-    for _ in range(n):
-        chain.append(chain[-1] * mult & _MASK32)
-    return chain
+def _mulhilo(x):
+    """(high, low) 64-bit halves of ``_PHILOX_MULT * x``."""
+    x_lo, x_hi = x & _LOW32, x >> _32
+    t = _MULT_HI * x_lo + (_MULT_LO * x_lo >> _32)
+    u = _MULT_LO * x_hi + (t & _LOW32)
+    return _MULT_HI * x_hi + (t >> _32) + (u >> _32), _PHILOX_MULT * x
 
 
-@functools.cache
-def _seed_steps(n_entropy: int) -> list:
-    """(xor, multiply) uint32 constants of each vectorized SeedSequence step
-    for ``n_entropy`` entropy words: the pool fill, each pool word mixed into
-    the other three (zeros at its own place), each entropy word past the pool
-    mixed into all four, and generate_state's 8 output words."""
-    chain = _hash_chain(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, n_entropy - 4))
-    steps, t = [(chain[0:4], chain[1:5])], 4
-    for src in range(4):
-        xor, mult = [0] * 4, [0] * 4
-        for dst in (d for d in range(4) if d != src):
-            xor[dst], mult[dst] = chain[t], chain[t + 1]
-            t += 1
-        steps.append((xor, mult))
-    steps += [(chain[t:t + 4], chain[t + 1:t + 5]) for t in range(16, len(chain) - 1, 4)]
-    out = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
-    steps.append((out[0:8], out[1:9]))
-    return [(np.array(x, dtype=np.uint32), np.array(m, dtype=np.uint32)) for x, m in steps]
+def _words(seed: int, kind: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """(hi - lo, n) uint64: the first ``n`` raw words of stream ``kind`` of
+    symbols lo..hi, ``substream(seed, kind, i).bit_generator.random_raw(n)``."""
+    blocks = -(-n // 4)
+    a = np.zeros((2, hi - lo, blocks), dtype=np.uint64)
+    b = np.zeros_like(a)
+    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    b[0] = (np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo))[:, None]
+    key = np.array([int(seed), kind], dtype=np.uint64)[:, None, None]
+    for _ in range(10):
+        high, low = _mulhilo(a)
+        a, b = high[::-1] ^ b ^ key, low[::-1]
+        key = key + _PHILOX_BUMP
+    return np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(hi - lo, -1)[:, :n]
 
 
-def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    x = 0xCA01F9DD * x - 0x4973F715 * y
-    return x ^ x >> 16
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(8, np.uint32) for each row of the
-    uint32 ``entropy``: numpy's hash with every step taken over all rows."""
-    rows, n = entropy.shape
-    fill, *mixes, out = _seed_steps(n)
-    pool = np.zeros((rows, 4), dtype=np.uint32)
-    pool[:, :min(n, 4)] = entropy[:, :4]
-    pool = _hashmix(pool, *fill)
-    for src in range(4):
-        word = pool[:, src].copy()
-        pool = _mix(pool, _hashmix(word[:, None], *mixes[src]))
-        pool[:, src] = word
-    for src in range(4, n):
-        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], *mixes[src]))
-    return _hashmix(np.tile(pool, 2), *out)
-
-
-def _digits(values) -> np.ndarray:
-    """(len(values), 8) float64: the 16-bit digits, low first, of 128-bit ints."""
-    raw = b"".join(v.to_bytes(16, "little") for v in values)
-    return np.frombuffer(raw, dtype="<u2").reshape(-1, 8).astype(np.float64)
-
-
-@functools.cache
-def _pcg64_jumps(n_words: int) -> np.ndarray:
-    """The first ``n_words`` output states of a PCG64 as a (17, 4 * n_words)
-    float64 map of its seed words.
-
-    Seeding with state s and stream q (increment c = 2q + 1) steps the LCG
-    twice, to (s + c) * M + c, and output k >= 1 steps it once more, so it
-    reads M**(k+1) * s + (1 + M + ... + M**(k+1)) * c mod 2**128.  That is
-    linear in the 16 16-bit halves of the seed words plus a constant row, so
-    one matmul gives each state's four 32-bit limbs before carries.  Every
-    term is below 2**48 and every sum below 17 * 2**48 < 2**53: float64 is
-    exact."""
-    mults, sums, a, c = [], [], _PCG64_MULT, 1 + _PCG64_MULT
-    for _ in range(n_words):
-        a = a * _PCG64_MULT & _MASK128
-        c = c + a & _MASK128
-        mults.append(a)
-        sums.append(c)
-    state, stream = _digits(mults), _digits([2 * v & _MASK128 for v in sums])
-    rows = []
-    for j in range(8):
-        digits = state if j < 4 else stream
-        for shift in (_STATE_BITS[j % 4] // 16, _STATE_BITS[j % 4] // 16 + 1):
-            row = np.zeros_like(digits)
-            row[:, shift:] = digits[:, :8 - shift]
-            rows.append(row)
-    rows.append(_digits(sums))
-    digits = np.stack(rows)
-    return (digits[..., 0::2] + 65536.0 * digits[..., 1::2]).transpose(0, 2, 1).reshape(17, -1)
-
-
-def _pcg64_raw(seed_words: np.ndarray, n_words: int) -> np.ndarray:
-    """The first ``n_words`` raw outputs of PCG64(SeedSequence) for each row
-    of generate_state(8, np.uint32) ``seed_words``."""
-    halves = np.ones((seed_words.shape[0], 17))
-    halves[:, 0:16:2] = seed_words & 0xFFFF
-    halves[:, 1:16:2] = seed_words >> 16
-    limbs = (halves @ _pcg64_jumps(n_words)).astype(np.uint64).reshape(-1, 4, n_words)
-    # the state mod 2**128 in 64-bit halves; the high half takes the carry
-    # out of limbs 0 and 1, which may exceed 32 bits before carries
-    lo = limbs[:, 0] + (limbs[:, 1] << 32)
-    hi = ((limbs[:, 1] + (limbs[:, 0] >> 32)) >> 32) + limbs[:, 2] + (limbs[:, 3] << 32)
-    # XSL-RR: the halves xor-ed, rotated right by the state's top 6 bits
-    x, rot = hi ^ lo, hi >> 58
-    return (x >> rot) | (x << ((64 - rot) & 63))
-
-
-def _draw_bits(seed: int, lo: int, hi: int, n_bits: int) -> np.ndarray:
-    """(hi - lo, n_bits) uint8: row i - lo is the bit draw of symbol i, the top
-    bits of the bytes of bits_rng(seed, i)'s raw words, low byte first."""
-    bits = np.empty((hi - lo, n_bits), dtype=np.uint8)
-    # SeedSequence splits an int into 32-bit words, low first: a seed or an
-    # index is one word below 2**32 and two from there on
-    head = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [_BITS_STREAM]
-    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
-        if a >= b:
-            continue
-        index = np.arange(a, b, dtype=np.uint64)
-        words = [index & _MASK32] + ([index >> 32] if a >> 32 else [])
-        entropy = np.empty((b - a, len(head) + len(words)), dtype=np.uint32)
-        entropy[:, :len(head)] = head
-        entropy[:, len(head):] = np.stack(words, axis=1)
-        raw = _pcg64_raw(_seed_words(entropy), -(-n_bits // 8))
-        bits[a - lo:b - lo] = raw.astype("<u8", copy=False).view(np.uint8)[:, :n_bits] >> 7
-    return bits
-
-
-def _complex_noise(g: np.ndarray, sigma2, out=None) -> np.ndarray:
-    """Circular complex Gaussian noise of variance ``sigma2`` from standard
-    normals: real parts ``g[..., 0]``, imaginary parts ``g[..., 1]``; written
-    to ``out`` if given."""
-    noise = np.multiply(1j, g[..., 1], out=out)
-    np.add(g[..., 0], noise, out=noise)
-    return np.multiply(noise, np.sqrt(sigma2 / 2.0), out=noise)
+def _normals(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """(hi - lo, n) complex: Box-Muller on the noise stream of symbols lo..hi,
+    complex normal j from words 2j and 2j + 1, E|z|^2 = 2."""
+    u = (_words(seed, _NOISE_STREAM, lo, hi, 2 * n) >> np.uint64(11)) * 2.0 ** -53
+    r = np.sqrt(-2 * np.log1p(-u[:, 0::2]))
+    t = 2 * np.pi * u[:, 1::2]
+    z = np.empty(r.shape, dtype=np.complex128)
+    z.real = r * np.cos(t)
+    z.imag = r * np.sin(t)
+    return z
 
 
 def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Per-symbol random bits, packed MSB-first into constellation labels."""
-    const = constellation(ofdm.mod_order)
-    k = const.bits_per_symbol
-    bits = _draw_bits(seed, lo, hi, ofdm.n_subcarriers * k)
+    """Symbols lo..hi's random bits, packed MSB-first into constellation labels."""
+    k = constellation(ofdm.mod_order).bits_per_symbol
+    n_bits = ofdm.n_subcarriers * k
+    words = _words(seed, _BITS_STREAM, lo, hi, -(-n_bits // 64)).astype("<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_bits, bitorder="little")
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
@@ -260,26 +148,19 @@ def _crest(x, clip_cfg, ofdm, out=None):
     return _rcf_rows(x, clip_cfg, ofdm, out=out)
 
 
-def _symbol_errors(x, labels, ofdm, snr_db, seed, lo, out=None) -> np.ndarray:
-    """Symbol errors of the transmitted rows ``x`` (symbols lo, lo+1, ...)
-    at every SNR point; each point's received rows and their spectrum go to
-    ``out`` if given, which must not be ``x``."""
+def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
+    """Symbol errors of the transmitted rows ``tx`` (symbols lo, lo+1, ...) at
+    every SNR point: one FFT, in place in ``tx``, then each point demaps the
+    in-band bins plus that point's scaling of the symbols' noise."""
     axes = constellation(ofdm.mod_order).axes
-    power = _mean_power(x, "SNR")[:, None]
-    noisy = ~np.isposinf(snr_db)
-    g = np.empty(x.shape + (2,))
-    if noisy.any():
-        for i in range(x.shape[0]):
-            g[i] = noise_rng(seed, lo + i).standard_normal((x.shape[1], 2))
+    power = _mean_power(tx, "SNR")[:, None]
+    bins = extract_inband(analyze(tx, out=tx), ofdm.n_subcarriers)
+    z = None if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(bins),
+                                                         ofdm.n_subcarriers)
     errors = np.zeros(snr_db.size, dtype=np.int64)
     for k, snr in enumerate(snr_db):
-        if noisy[k]:
-            y = _complex_noise(g, power / 10.0 ** (snr / 10.0), out)
-            spectrum = analyze(np.add(x, y, out=y), out=y)
-        else:
-            spectrum = analyze(x, out=out)
-        bins = extract_inband(spectrum, ofdm.n_subcarriers)
-        errors[k] = np.count_nonzero(_kernels.nearest_labels(bins, *axes) != labels.ravel())
+        rx = bins if np.isposinf(snr) else bins + np.sqrt(power / 10.0 ** (snr / 10.0) / 2.0) * z
+        errors[k] = np.count_nonzero(_kernels.nearest_labels(rx, *axes) != labels.ravel())
     return errors
 
 
@@ -289,17 +170,16 @@ def _block(task, buffers=None):
     symbol errors of the one config at every point.
 
     ``buffers`` (two complex arrays of at least hi - lo rows) take every
-    full-size complex result: the synthesized rows go to the first, each
-    config's crest steps to the second, and the SER receiver to whichever
-    the transmitted rows are not in.  Without them every step allocates."""
+    full-size complex result: the synthesized rows go to the first and each
+    config's crest steps to the second; the SER receiver's FFT runs in place
+    in the transmitted rows.  Without them every step allocates."""
     ofdm, clip_cfgs, snr_db, seed, lo, hi = task
     synth, work = (None, None) if buffers is None else (b[:hi - lo] for b in buffers)
     labels = _draw_labels(ofdm, seed, lo, hi)
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample, out=synth)
     if snr_db is None:
         return np.stack([papr_db(_crest(x, cfg, ofdm, work)) for cfg in clip_cfgs])
-    tx = _crest(x, clip_cfgs[0], ofdm, work)
-    return _symbol_errors(tx, labels, ofdm, snr_db, seed, lo, work if tx is x else x)
+    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm, work), labels, ofdm, snr_db, seed, lo)
 
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
@@ -309,6 +189,12 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
              for lo in range(0, n_symbols, rows)]
     if workers == 1 or len(tasks) == 1:
         buffers = np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
+        # Freeing an mmapped chunk raises glibc's mmap threshold to its size
+        # and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+        # This freed chunk lifts both over the block's float temporaries, so
+        # they stay on the heap instead of being mapped and faulted in again
+        # on every block.
+        np.empty(buffers.nbytes, dtype=np.uint8)
         return [_block(t, buffers) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_block, tasks))
@@ -337,8 +223,9 @@ def ser_errors(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db,
 
     A scalar ``snr_db`` gives an ``int``.  A 1-D grid gives an int64 array
     with one count per point, each equal to the scalar call at that point:
-    clipping runs once per symbol and the symbol's noise is drawn once and
-    scaled to every point.  An empty grid raises ValueError.
+    clipping and the receiver's FFT run once per symbol, and the symbol's
+    in-band noise is drawn once and scaled to every point.  An empty grid
+    raises ValueError.
     """
     grid = np.asarray(snr_db, dtype=float)
     if grid.ndim > 1:

@@ -21,6 +21,10 @@ from . import _kernels
 from .modulation import _integral, constellation
 
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
+# Most time samples per OFDM symbol, N * oversample.  A block holds at least
+# one row, 16 MiB per complex array at this cap, where a serial run peaks
+# near 100 MiB; a longer row is refused before it can exhaust memory.
+MAX_ROW_SAMPLES = 2 ** 20
 
 
 def _check_length(n, what: str) -> None:
@@ -42,7 +46,8 @@ def _check_oversample(oversample) -> None:
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Static OFDM dimensions: subcarrier count, oversampling, modulation."""
+    """Static OFDM dimensions: subcarrier count, oversampling, modulation.
+    A row of more than ``MAX_ROW_SAMPLES`` samples raises ValueError."""
 
     n_subcarriers: int = 64
     oversample: int = 4
@@ -52,6 +57,9 @@ class OfdmConfig:
         _check_length(self.n_subcarriers, "n_subcarriers")
         _check_oversample(self.oversample)
         constellation(self.mod_order)  # ValueError for an unsupported order
+        if self.n_samples > MAX_ROW_SAMPLES:
+            raise ValueError(f"n_subcarriers * oversample must be at most {MAX_ROW_SAMPLES}, "
+                             f"got {self.n_samples}")
 
     @property
     def n_samples(self) -> int:

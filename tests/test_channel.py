@@ -32,6 +32,17 @@ def test_awgn_deterministic_per_stream():
     assert not np.array_equal(awgn(x, 10.0, seed=3, stream=7), awgn(x, 10.0, seed=4, stream=7))
 
 
+def test_awgn_noise_is_its_noise_stream():
+    # RNG contract v2: Box-Muller on the first 2 * size words of noise stream 7
+    x = carrier(8).reshape(2, 4)
+    words = np.random.Philox(key=3 | 1 << 64, counter=7 << 64).random_raw(16)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    r, t = np.sqrt(-2 * np.log1p(-u[0::2])), 2 * np.pi * u[1::2]
+    sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 10.0 ** (10.0 / 10.0) / 2.0)
+    expected = x + (sigma * (r * np.cos(t) + 1j * (r * np.sin(t)))).reshape(x.shape)
+    assert awgn(x, 10.0, seed=3, stream=7).tobytes() == expected.tobytes()
+
+
 def test_awgn_variance_matches_target():
     x = np.ones(1_000_000, dtype=complex)
     snr_db = 7.0
@@ -106,8 +117,11 @@ def test_invalid_args(monkeypatch):
                 measure_ser(OfdmConfig(), None, grid, 10, seed=1)
         with pytest.raises(ValueError, match="at least one SNR point"):
             ser_errors(OfdmConfig(), None, [], 10, seed=1)
-    with pytest.raises(ValueError, match="index"):
-        awgn(carrier(), 10.0, seed=1, stream=1.5)
+    for stream in (1.5, -1, 2**64):
+        with pytest.raises(ValueError, match="index"):
+            awgn(carrier(), 10.0, seed=1, stream=stream)
+    with pytest.raises(ValueError, match="seed"):
+        awgn(carrier(), 10.0, seed=2**64)
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 10, seed=-1)
     for workers in (0, -1):

@@ -12,7 +12,7 @@ import pytest
 from ofdmclip import (DEFAULT_KAISER_BETA, STRATEGIES, SUPPORTED_ORDERS, WINDOW_NAMES,
                       ClipConfig, OfdmConfig)
 from ofdmclip.cli import SWEEP_WINDOWS, build_parser, main
-from ofdmclip.transform import _OVERSAMPLE_CHOICES
+from ofdmclip.transform import _OVERSAMPLE_CHOICES, MAX_ROW_SAMPLES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -255,9 +255,14 @@ def test_parser_defaults_are_the_config_defaults(monkeypatch, command):
     assert {a.dest: a.choices for a in commands[command]._actions if a.choices} == choices
 
 
-def test_module_entry_point_exit_codes(tmp_path):
+def subprocess_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("OFDMCLIP_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = subprocess_env()
 
     def ofdmclip(*argv):
         return subprocess.run([sys.executable, "-m", "ofdmclip", *argv], env=env,
@@ -269,3 +274,43 @@ def test_module_entry_point_exit_codes(tmp_path):
     done = ofdmclip("ccdf", "--mod", "5", "--out", str(tmp_path / "x.csv"))
     assert done.returncode == 2 and "--mod" in done.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # the engine computes its own Philox words; numpy.random's import alone
+    # costs several MiB of peak RSS
+    tail = ["--symbols", "20", "--out", str(tmp_path / "x.csv")]
+    commands = [["ccdf", *tail], ["ser", "--workers", "1", *tail], ["window-sweep", *tail]]
+    script = ("import sys\nfrom ofdmclip import cli\n"
+              f"for argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
+              "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_row_size_cap_is_usage_error(tmp_path, capsys):
+    # checked when the config is built, so nothing is allocated
+    with pytest.raises(ValueError, match="at most"):
+        OfdmConfig(2**40, 8)
+    OfdmConfig(MAX_ROW_SAMPLES // 8, 8)
+    with pytest.raises(ValueError, match=str(MAX_ROW_SAMPLES)):
+        OfdmConfig(MAX_ROW_SAMPLES, 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["ccdf", "--n", str(2**40), "--oversample", "8", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "at most" in capsys.readouterr().err
+
+
+def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    out = tmp_path / "x.csv"
+    assert main(["ccdf", "--symbols", "20", "--out", str(out)]) == 4
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == "memory error: Unable to allocate 16.0 TiB for an array\n"
+    assert not out.exists()

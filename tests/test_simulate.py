@@ -1,16 +1,20 @@
 """Deterministic seeding and parallel-schedule independence."""
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze, awgn,
+from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze,
                       constellation, demap_points, extract_inband, map_bits, measure_ser,
                       papr_db, papr_samples, rcf, ser_errors)
 from ofdmclip import simulate
 from ofdmclip.modulation import bits_to_labels
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 OFDM = OfdmConfig(64, 2, 16)
 # below, near and above the waterfall, plus the no-noise point
 GRID = np.array([2.0, 7.5, np.inf, 12.0])
@@ -18,6 +22,11 @@ STRATEGIES = ("none", "cf", "pw")
 
 
 def test_substreams_are_deterministic():
+    # numpy's Philox with key (seed, stream kind) and counter (0, index, 0, 0)
+    for kind, rng in ((0, simulate.bits_rng(42, 7)), (1, simulate.noise_rng(42, 7))):
+        assert isinstance(rng.bit_generator, np.random.Philox)
+        reference = np.random.Philox(key=42 | kind << 64, counter=7 << 64).random_raw(9)
+        assert rng.bit_generator.random_raw(9).tolist() == reference.tolist()
     a = simulate.bits_rng(42, 7).integers(0, 2, 64)
     b = simulate.bits_rng(42, 7).integers(0, 2, 64)
     assert np.array_equal(a, b)
@@ -68,11 +77,28 @@ def test_ser_errors_worker_invariant():
 
 # --- one pass per block: grids and config sequences -------------------------
 
+def reference_bits(ofdm, seed, i):
+    """Symbol i's bits under RNG contract v2: bit j is bit j % 64, counting
+    from the low bit, of word j // 64 of numpy's Philox for its bits stream."""
+    n = ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
+    words = np.random.Philox(key=seed, counter=i << 64).random_raw(-(-n // 64))
+    return np.array([int(w) >> b & 1 for w in words for b in range(64)][:n], dtype=np.uint8)
+
+
 def reference_symbol(ofdm, seed, i):
-    """Symbol i's bits, drawn from its bit substream, and its Gray-mapped bins."""
-    k = constellation(ofdm.mod_order).bits_per_symbol
-    bits = simulate.bits_rng(seed, i).integers(0, 2, ofdm.n_subcarriers * k, dtype=np.uint8)
+    """Symbol i's bits and its Gray-mapped bins."""
+    bits = reference_bits(ofdm, seed, i)
     return bits, map_bits(bits, ofdm.mod_order)
+
+
+def reference_noise(seed, i, n):
+    """Symbol i's n complex normals: Box-Muller on 53-bit uniforms from
+    words 2j and 2j + 1 of numpy's Philox for its noise stream."""
+    words = np.random.Philox(key=seed | 1 << 64, counter=i << 64).random_raw(2 * n)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    r = np.sqrt(-2 * np.log1p(-u[0::2]))
+    t = 2 * np.pi * u[1::2]
+    return r * np.cos(t) + 1j * (r * np.sin(t))
 
 
 def reference_papr_db(ofdm, cfg, n_symbols, seed):
@@ -83,53 +109,58 @@ def reference_papr_db(ofdm, cfg, n_symbols, seed):
 
 def reference_ser_errors(ofdm, cfg, snr_db, n_symbols, seed):
     """Symbol by symbol through the public single-signal functions; symbol
-    i's noise is awgn stream i, which is its noise substream."""
+    i's noise, at the variance per sample the SNR sets, goes on its in-band
+    bins, the same variance per bin through the unitary FFT."""
     k = constellation(ofdm.mod_order).bits_per_symbol
     errors = 0
     for i in range(n_symbols):
         bits, symbol = reference_symbol(ofdm, seed, i)
         x, _ = rcf(symbol, cfg, ofdm)
-        y = awgn(x, snr_db, seed, stream=i)
-        rx = demap_points(extract_inband(analyze(y), ofdm.n_subcarriers), ofdm.mod_order)
+        bins = extract_inband(analyze(x), ofdm.n_subcarriers)
+        if not np.isposinf(snr_db):
+            sigma2 = np.mean(np.abs(x) ** 2) / 10.0 ** (snr_db / 10.0)
+            bins = bins + np.sqrt(sigma2 / 2.0) * reference_noise(seed, i, ofdm.n_subcarriers)
+        rx = demap_points(bins, ofdm.mod_order)
         errors += int((rx != bits).reshape(-1, k).any(axis=1).sum())
     return errors
 
 
-def reference_labels(ofdm, seed, lo, hi):
-    """Symbols lo..hi's labels from numpy's own generator for each symbol."""
-    k = constellation(ofdm.mod_order).bits_per_symbol
-    bits = [simulate.bits_rng(seed, i).integers(0, 2, ofdm.n_subcarriers * k, dtype=np.uint8)
-            for i in range(lo, hi)]
-    return bits_to_labels(np.concatenate(bits), k).reshape(hi - lo, -1)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-@pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 2, 2**32 + 2)],
-                         ids=["first", "across_2**32"])
+@pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)],
+                         ids=["first", "across_2**32", "last"])
 def test_block_draw_is_numpys_bit_stream(seed, lo, hi):
-    # bit counts N * log2(M) from 2 to 6144: not all multiples of 8 or 64;
-    # an index of 2**32 or more hashes as two words
+    # bit counts N * log2(M) from 2 to 6144, not all multiples of 64
     for n in (2, 4, 64, 1024):
         for order in SUPPORTED_ORDERS:
             ofdm = OfdmConfig(n, 1, order)
-            labels = simulate._draw_labels(ofdm, seed, lo, hi)
-            assert labels.tolist() == reference_labels(ofdm, seed, lo, hi).tolist()
+            bits = np.concatenate([reference_bits(ofdm, seed, i) for i in range(lo, hi)])
+            labels = bits_to_labels(bits, constellation(order).bits_per_symbol)
+            assert simulate._draw_labels(ofdm, seed, lo, hi).tolist() == \
+                labels.reshape(hi - lo, n).tolist()
+    # word counts from 1 to 130, not all multiples of Philox's 4-word output
+    for kind in (simulate._BITS_STREAM, simulate._NOISE_STREAM):
+        for n in (1, 3, 4, 24, 130):
+            words = simulate._words(seed, kind, lo, hi, n)
+            numpys = [np.random.Philox(key=seed | kind << 64, counter=i << 64).random_raw(n)
+                      for i in range(lo, hi)]
+            assert words.dtype == np.uint64 and words.tolist() == np.stack(numpys).tolist()
             for cut in range(lo + 1, hi):
-                parts = [simulate._draw_labels(ofdm, seed, lo, cut),
-                         simulate._draw_labels(ofdm, seed, cut, hi)]
-                assert np.concatenate(parts).tolist() == labels.tolist()
+                parts = [simulate._words(seed, kind, lo, cut, n),
+                         simulate._words(seed, kind, cut, hi, n)]
+                assert np.concatenate(parts).tolist() == words.tolist()
 
 
 def test_engine_builds_no_bit_generator(monkeypatch):
-    # the bits come from the block draw, never from a generator per symbol
+    # the engine computes its words itself; numpy's generators are the reference
     cfg = ClipConfig(3.0, 3, "cf")
     papr = reference_papr_db(OFDM, cfg, 200, seed=4)
     errors = [reference_ser_errors(OFDM, cfg, snr, 40, seed=4) for snr in GRID]
 
     def no_generator(*args):
-        raise AssertionError("a bit generator was built for one symbol")
+        raise AssertionError("a numpy generator was built for one symbol")
 
-    monkeypatch.setattr(simulate, "bits_rng", no_generator)
+    for name in ("bits_rng", "noise_rng", "substream"):
+        monkeypatch.setattr(simulate, name, no_generator)
     assert papr_samples(OFDM, cfg, 200, seed=4).tobytes() == papr.tobytes()
     assert ser_errors(OFDM, cfg, GRID, 40, seed=4).tolist() == errors
 
@@ -237,6 +268,34 @@ def test_serial_blocks_reuse_their_memory(ofdm, strategy):
         faults(12)
     extra = faults(12) - faults(2)
     assert extra <= 10 * 10
+
+
+COLD_RUN = """
+import resource, sys
+from ofdmclip import ClipConfig, OfdmConfig, papr_samples, simulate
+ofdm, n_blocks = OfdmConfig(64, 4, 8), int(sys.argv[2])
+rows = simulate._BLOCK_SAMPLES // ofdm.n_samples
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+papr_samples(ofdm, ClipConfig(3.0, 5, sys.argv[1]), n_blocks * rows, seed=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+@pytest.mark.parametrize("strategy", ["cf", "pw"])
+def test_cold_process_does_not_fault_per_block(strategy):
+    # The first run in a fresh process: block-sized float temporaries that
+    # glibc maps and unmaps on every block would fault hundreds of pages a block.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def faults(n_blocks):
+        done = subprocess.run([sys.executable, "-c", COLD_RUN, strategy, str(n_blocks)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    assert faults(12) - faults(2) <= 10 * 10
 
 
 @pytest.fixture
