@@ -3,9 +3,7 @@ per-row PAPR, as straight-line numpy over everything they are given.
 
 The kernels do not block: their temporaries grow with their input.  The
 Monte Carlo engine bounds memory by handing them one block of rows at a
-time (see ``simulate``).  Full-size complex results can be written into a
-caller's array with ``out=``, which may be the input itself; ``out_rows``
-checks it.
+time (see ``simulate``).  ``peak_suppress`` scales its input in place.
 
 Magnitude masks are always computed by the *caller* with ``np.abs`` and
 passed in, so the same magnitudes decide clipping, peak detection and the
@@ -14,18 +12,6 @@ over-threshold counts.
 from __future__ import annotations
 
 import numpy as np
-
-
-def out_rows(out, shape) -> np.ndarray:
-    """``out``, checked to be a complex128 array of ``shape``, or a new one
-    when ``out`` is None."""
-    if out is None:
-        return np.empty(shape, dtype=np.complex128)
-    if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype == np.complex128):
-        raise ValueError(f"out must be a complex128 array of shape {shape}, got shape "
-                         f"{np.shape(out)} and dtype {getattr(out, 'dtype', None)}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +65,12 @@ def _peaks(m, a):
     return at[keep]
 
 
-def peak_suppress(x, mag, thresh, w, *, out=None):
-    """Peak-window ``x`` (rows, n) given ``mag = np.abs(x)``, per-row
-    thresholds ``thresh`` and window coefficients ``w`` (odd length); the
-    result goes to ``out`` (see ``out_rows``)."""
-    out = out_rows(out, x.shape)
+def peak_suppress(x, mag, thresh, w) -> None:
+    """Peak-window the rows ``x`` (rows, n) in place, given ``mag = np.abs(x)``,
+    per-row thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
     n = x.shape[1]
     if n == 0:  # the row padding below needs a sample
-        return out
+        return
     half = (w.size - 1) // 2
     peaks = _peaks(mag, thresh)
     rows, cols = np.divmod(peaks, n)
@@ -103,7 +87,7 @@ def peak_suppress(x, mag, thresh, w, *, out=None):
     gain = b[:, pad:pad + n]
     np.minimum(gain, 1.0, out=gain)
     np.subtract(1.0, gain, out=gain)
-    return np.multiply(x, gain, out=out)
+    x *= gain
 
 
 # ---------------------------------------------------------------------------

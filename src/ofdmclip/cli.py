@@ -76,7 +76,8 @@ def _add_common(p: argparse.ArgumentParser, default_out: str, with_strategy: boo
                    help="number of OFDM symbols to simulate")
     p.add_argument("--seed", type=int, default=1, help="master RNG seed (64-bit unsigned)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (does not affect results)")
+                   help="parallel worker processes, at most one per CPU "
+                        "(does not affect results)")
     p.add_argument("--out", default=default_out, help="output CSV path")
 
 

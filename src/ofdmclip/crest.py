@@ -13,10 +13,11 @@ The clipping threshold A is set once from the *unclipped* signal's RMS as
 ``A = rms * 10**(clip_ratio_db / 20)`` and held fixed across iterations.
 
 The step functions work along the last axis on one signal or a batch of
-rows, with the level given once or per row; the clip loop runs them on
-whole batches.  Each writes its result into ``out=`` when given: a
-complex128 array of the signal's shape, which may be the signal itself.
-NaN or inf samples raise ValueError.
+rows, with the level given once or per row.  Each public step copies its
+input once into a C-contiguous complex128 array and runs its private twin
+(``_clip``, ``_oob_filter``, ``_peak_window``) in place on that copy; the
+clip loop makes one such work copy per crest config and runs the private
+steps in place on it.  NaN or inf samples raise ValueError.
 """
 from __future__ import annotations
 
@@ -102,26 +103,27 @@ def _row_levels(a, mag: np.ndarray) -> np.ndarray:
     return np.broadcast_to(a, mag.shape[:-1])[..., None]
 
 
-def clip(signal: np.ndarray, a, *, out=None) -> np.ndarray:
+def clip(signal: np.ndarray, a) -> np.ndarray:
     """Hard-clip along the last axis: samples with |x| > a are scaled onto
     the circle |y| = a, phases untouched.  ``a`` is one level or one per row.
-    The result goes to ``out`` if given.
 
     np.abs decides which samples are over the level; only those, at the flat
     indices ``at``, are read, rescaled and written back.  A rescaled sample
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    x = np.asarray(signal, dtype=np.complex128)
+    return _clip(np.array(signal, dtype=np.complex128, order="C"), a)
+
+
+def _clip(x: np.ndarray, a) -> np.ndarray:
+    """``clip`` in place on the C-contiguous complex128 array ``x``."""
     mag = np.abs(x)
     level = _row_levels(a, mag)
-    y = _kernels.out_rows(out, x.shape)
-    if y is not x:
-        np.copyto(y, x)
     at = np.flatnonzero(mag > level)
     if at.size:
         limit = level.reshape(-1)[at // x.shape[-1]]
-        xo = x.reshape(-1)[at]
+        flat = x.reshape(-1)
+        xo = flat[at]
         scale = limit / mag.reshape(-1)[at]
         w = xo * scale
         bad = np.flatnonzero(np.abs(w) > limit)
@@ -129,26 +131,27 @@ def clip(signal: np.ndarray, a, *, out=None) -> np.ndarray:
             scale[bad] = np.nextafter(scale[bad], 0.0)
             w[bad] = xo[bad] * scale[bad]
             bad = bad[np.abs(w[bad]) > limit[bad]]
-        flat = y.reshape(-1)
         flat[at] = w
-        if not np.may_share_memory(flat, y):  # an out= that reshapes only by copy
-            np.copyto(y, flat.reshape(y.shape))
-    return y
+    return x
 
 
-def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int, *,
-               out=None) -> np.ndarray:
-    """Zero every out-of-band bin of each row; a linear, idempotent projection.
-    The result goes to ``out`` if given; both FFTs run in it."""
-    signal = np.asarray(signal, dtype=np.complex128)
+def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
+    """Zero every out-of-band bin of each row; a linear, idempotent projection."""
+    return _oob_filter(np.array(signal, dtype=np.complex128, order="C"),
+                       n_subcarriers, oversample)
+
+
+def _oob_filter(x: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
+    """``oob_filter`` in place on the C-contiguous complex128 array ``x``:
+    both FFTs run in it."""
     total = n_subcarriers * oversample
-    if signal.shape[-1:] != (total,):
+    if x.shape[-1:] != (total,):
         raise ValueError(f"signal rows must have {n_subcarriers} * {oversample} samples, "
-                         f"got {signal.shape or 'a scalar'}")
+                         f"got {x.shape or 'a scalar'}")
     _check_length(n_subcarriers, "n_subcarriers")
     _check_oversample(oversample)
     with np.errstate(invalid="ignore"):  # inf - inf; reported just below
-        spectrum = analyze(signal, out=out)
+        spectrum = analyze(x, out=x)
     # bin 0 sums its row, so a NaN or inf sample leaves it non-finite
     if not np.isfinite(spectrum[..., 0]).all():
         raise ValueError("signal must be finite (no NaN or inf samples)")
@@ -156,8 +159,7 @@ def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int, *,
     return np.fft.ifft(spectrum, norm="ortho", axis=-1, out=spectrum)
 
 
-def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int, *,
-                         out=None) -> np.ndarray:
+def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.ndarray:
     """Attenuate peaks above ``a`` with window-shaped envelopes, along the
     last axis; ``a`` is one level or one per row.
 
@@ -167,41 +169,42 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int, *,
     peak, are summed into an envelope b which is capped at 1; the output is
     x * (1 - min(b, 1)).  An isolated peak therefore lands exactly on |y| = a,
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
-    lobes may locally amplify).  The result goes to ``out`` if given.
+    lobes may locally amplify).
     """
     _check_window_len(window_len, "window length")
-    x = np.asarray(signal, dtype=np.complex128)
+    return _peak_window(np.array(signal, dtype=np.complex128, order="C"), a, kind, window_len)
+
+
+def _peak_window(x: np.ndarray, a, kind, window_len: int) -> np.ndarray:
+    """``peak_window_suppress`` in place on the C-contiguous complex128
+    array ``x``, viewed as rows."""
     mag = np.abs(x)
     level = _row_levels(a, mag).reshape(-1)
     shape = (level.size, x.shape[-1])
-    y = _kernels.out_rows(out, x.shape)
-    rows = y.reshape(shape)
     _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
-                           window(kind, window_len), out=rows)
-    if not np.may_share_memory(rows, y):  # leading axes that reshape only by copy
-        np.copyto(y, rows.reshape(x.shape))
-    return y
-
-
-def _crest_step(x: np.ndarray, a, cfg: ClipConfig, ofdm: OfdmConfig, out=None) -> np.ndarray:
-    """One iteration of the clip loop at level(s) ``a``: a peak window, or a
-    clip followed, for ``cf``, by the OOB filter; written to ``out`` if given."""
-    if cfg.strategy == "pw":
-        return peak_window_suppress(x, a, cfg.window, cfg.window_len, out=out)
-    x = clip(x, a, out=out)
-    if cfg.strategy == "cf":
-        x = oob_filter(x, ofdm.n_subcarriers, ofdm.oversample, out=out)
+                           window(kind, window_len))
     return x
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig, out=None) -> np.ndarray:
+def _crest_step(x: np.ndarray, a, cfg: ClipConfig, ofdm: OfdmConfig) -> None:
+    """One iteration of the clip loop at level(s) ``a``, in place on ``x``: a
+    peak window, or a clip followed, for ``cf``, by the OOB filter."""
+    if cfg.strategy == "pw":
+        _peak_window(x, a, cfg.window, cfg.window_len)
+    else:
+        _clip(x, a)
+        if cfg.strategy == "cf":
+            _oob_filter(x, ofdm.n_subcarriers, ofdm.oversample)
+
+
+def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig) -> np.ndarray:
     """The clip loop behind the Monte Carlo drivers, on rows of independent
-    symbols.  Returns the final rows, which every step writes into ``out`` if
-    given (``x0`` is left as it is)."""
+    symbols: every step runs in place on one copy of ``x0``, which is
+    returned (``x0`` is left as it is)."""
     a = threshold_from_ratio(x0, cfg.clip_ratio_db)
-    x = x0
+    x = x0.copy()
     for _ in range(cfg.iterations):
-        x = _crest_step(x, a, cfg, ofdm, out=out)
+        _crest_step(x, a, cfg, ofdm)
     return x
 
 
@@ -227,6 +230,6 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     per_iter = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
         count += int((np.abs(x) > a).sum())
-        x = _crest_step(x, a, cfg, ofdm)
+        _crest_step(x, a, cfg, ofdm)
         per_iter[it] = papr_db(x)
     return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)

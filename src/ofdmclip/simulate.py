@@ -18,13 +18,15 @@ workers.  Bytes are reproducible per platform: ``log1p``, ``cos`` and
 One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
 workers) rows.  ``_block`` draws and synthesizes its rows once, runs every
-crest config on them, and for SER takes one FFT and demaps the in-band bins
-plus each SNR point's scaling of the one noise draw.  Every temporary is
-block-sized, whatever the run, the configs or N*L.  A serial run allocates
-two block buffers once, and every full-size complex result (synthesis, each
-crest step, the receiver's FFT) goes into them through ``out=``, so no block
-frees memory the next one faults back in.  Otherwise the blocks go to one
-process pool of at most one worker per block, reassembled in index order.
+crest config on one work copy of them (each crest step in place), and for
+SER takes one FFT, in place in the transmitted rows, and demaps the in-band
+bins plus each SNR point's scaling of the one noise draw.  Every temporary
+is block-sized, whatever the run, the configs or N*L.  Serial runs go block
+by block in this process; otherwise the blocks go to one process pool of at
+most one worker per block and per CPU, reassembled in index order.  Before
+either, ``_run_blocks`` frees one two-block allocation, which raises glibc's
+malloc thresholds for the process and the workers it forks, so no block
+frees memory the next one faults back in.
 
 Measurements go through the checked rules, ``metrics.papr_db`` and
 ``metrics._mean_power``, so a crest step that zeroes a whole symbol raises
@@ -32,6 +34,7 @@ ValueError instead of giving NaN or a noiseless SER.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -140,12 +143,12 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
-def _crest(x, clip_cfg, ofdm, out=None):
+def _crest(x, clip_cfg, ofdm):
     """The crest-reduced rows: ``x`` itself without crest reduction, else
-    new rows or ``out``."""
+    a new work copy."""
     if clip_cfg is None or clip_cfg.iterations == 0:
         return x
-    return _rcf_rows(x, clip_cfg, ofdm, out=out)
+    return _rcf_rows(x, clip_cfg, ofdm)
 
 
 def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
@@ -164,22 +167,16 @@ def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     return errors
 
 
-def _block(task, buffers=None):
+def _block(task):
     """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
     of every crest config, shape (configs, rows), or (with an SNR grid) the
-    symbol errors of the one config at every point.
-
-    ``buffers`` (two complex arrays of at least hi - lo rows) take every
-    full-size complex result: the synthesized rows go to the first and each
-    config's crest steps to the second; the SER receiver's FFT runs in place
-    in the transmitted rows.  Without them every step allocates."""
+    symbol errors of the one config at every point."""
     ofdm, clip_cfgs, snr_db, seed, lo, hi = task
-    synth, work = (None, None) if buffers is None else (b[:hi - lo] for b in buffers)
     labels = _draw_labels(ofdm, seed, lo, hi)
-    x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample, out=synth)
+    x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     if snr_db is None:
-        return np.stack([papr_db(_crest(x, cfg, ofdm, work)) for cfg in clip_cfgs])
-    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm, work), labels, ofdm, snr_db, seed, lo)
+        return np.stack([papr_db(_crest(x, cfg, ofdm)) for cfg in clip_cfgs])
+    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
 
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
@@ -187,16 +184,15 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))
     tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
              for lo in range(0, n_symbols, rows)]
+    # Freeing an mmapped chunk raises glibc's mmap threshold to its size and
+    # the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).  This
+    # freed chunk of two blocks lifts both over a block's temporaries, so they
+    # stay on the heap instead of being mapped and faulted in again on every
+    # block; forked pool workers inherit the raised thresholds.
+    np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
     if workers == 1 or len(tasks) == 1:
-        buffers = np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
-        # Freeing an mmapped chunk raises glibc's mmap threshold to its size
-        # and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
-        # This freed chunk lifts both over the block's float temporaries, so
-        # they stay on the heap instead of being mapped and faulted in again
-        # on every block.
-        np.empty(buffers.nbytes, dtype=np.uint8)
-        return [_block(t, buffers) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return [_block(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
         return list(pool.map(_block, tasks))
 
 

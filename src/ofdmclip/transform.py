@@ -8,8 +8,9 @@ move to the top; the N*(L-1) middle bins are the out-of-band region.
 Both directions use the unitary 1/sqrt(size) scaling, so energy is
 preserved exactly (Parseval) and ``analyze`` inverts ``synthesize``.
 All functions accept a single vector or a batch with symbols on the last
-axis.  ``embed_spectrum``, ``synthesize`` and ``analyze`` write their result
-into ``out=`` when given; the FFTs then run in place.
+axis.  ``synthesize`` runs its inverse FFT in place in the spectrum it
+allocates; ``analyze`` writes into ``out=`` when given, so the OOB filter
+and the SER receiver take their forward FFT in place in their work rows.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .modulation import _integral, constellation
 
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
@@ -66,18 +66,16 @@ class OfdmConfig:
         return self.n_subcarriers * self.oversample
 
 
-def embed_spectrum(bins: np.ndarray, oversample: int, *, out=None) -> np.ndarray:
-    """Place N symbol bins into the in-band slots of an N*oversample spectrum,
-    written to ``out`` if given (a complex128 array of the spectrum's shape)."""
+def embed_spectrum(bins: np.ndarray, oversample: int) -> np.ndarray:
+    """Place N symbol bins into the in-band slots of a new N*oversample spectrum."""
     bins = np.asarray(bins, dtype=np.complex128)
     n = _row_length(bins, "bins")
     _check_length(n, "symbol length")
     _check_oversample(oversample)
     total = n * oversample
-    out = _kernels.out_rows(out, bins.shape[:-1] + (total,))
+    out = np.zeros(bins.shape[:-1] + (total,), dtype=np.complex128)
     out[..., :n // 2] = bins[..., :n // 2]
     out[..., total - n // 2:] = bins[..., n // 2:]
-    out[..., n // 2:total - n // 2] = 0.0
     return out
 
 
@@ -94,14 +92,13 @@ def extract_inband(spectrum: np.ndarray, n_subcarriers: int) -> np.ndarray:
         [spectrum[..., :n // 2], spectrum[..., total - n // 2:]], axis=-1)
 
 
-def synthesize(symbol: np.ndarray, oversample: int = 1, *, out=None) -> np.ndarray:
+def synthesize(symbol: np.ndarray, oversample: int = 1) -> np.ndarray:
     """Time-domain OFDM signal for one frequency-domain symbol.
 
     Returns N*oversample complex samples with the same total energy as the
-    input bins, written to ``out`` if given (a complex128 array of that
-    shape, which may be the input itself when oversample is 1).
+    input bins; the inverse FFT runs in place in the embedded spectrum.
     """
-    spectrum = embed_spectrum(symbol, oversample, out=out)
+    spectrum = embed_spectrum(symbol, oversample)
     return np.fft.ifft(spectrum, norm="ortho", axis=-1, out=spectrum)
 
 
@@ -111,5 +108,8 @@ def analyze(signal: np.ndarray, *, out=None) -> np.ndarray:
     signal itself)."""
     signal = np.asarray(signal, dtype=np.complex128)
     _check_length(_row_length(signal, "signal"), "signal length")
-    out = _kernels.out_rows(out, signal.shape)
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == signal.shape
+                                and out.dtype == np.complex128):
+        raise ValueError(f"out must be a complex128 array of shape {signal.shape}, got "
+                         f"shape {np.shape(out)} and dtype {getattr(out, 'dtype', None)}")
     return np.fft.fft(signal, norm="ortho", axis=-1, out=out)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
-                      constellation, oob_filter, papr_db, peak_window_suppress,
-                      rcf, synthesize, threshold_from_ratio, window)
+                      constellation, embed_spectrum, oob_filter, papr_db,
+                      peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
+from ofdmclip.crest import _clip
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 
@@ -150,11 +151,13 @@ def test_clip_matches_per_sample_oracle(rng):
         ref, fired = clip_oracle(x, a)
         steps += fired
         assert clip(x, a).tobytes() == ref.tobytes(), name
+        # a view of every other entry along the first axis, as input
         strided = np.empty((2 * x.shape[0],) + x.shape[1:], complex)[::2]
-        assert clip(x, a, out=strided) is strided
-        assert strided.tobytes() == ref.tobytes(), name
+        strided[...] = x
+        assert clip(strided, a).tobytes() == ref.tobytes(), name
+        # the private step, in place on a copy
         inplace = x.copy()
-        assert clip(inplace, a, out=inplace) is inplace
+        assert _clip(inplace, a) is inplace
         assert inplace.tobytes() == ref.tobytes(), name
     assert steps > 0  # the nudge was exercised
 
@@ -474,31 +477,34 @@ def test_clip_config_validation():
     assert ClipConfig(window="kaiser").window.name == "kaiser"
 
 
-# --- out= -----------------------------------------------------------------------
+# --- memory layout ---------------------------------------------------------------
 
 STEPS = {
-    "clip": lambda x, **kw: clip(x, 0.9, **kw),
-    "oob_filter": lambda x, **kw: oob_filter(x, OFDM.n_subcarriers, OFDM.oversample, **kw),
-    "peak_window_suppress": lambda x, **kw: peak_window_suppress(x, 0.9, "hann", 11, **kw),
+    "clip": lambda x: clip(x, 0.9),
+    "oob_filter": lambda x: oob_filter(x, OFDM.n_subcarriers, OFDM.oversample),
+    "peak_window_suppress": lambda x: peak_window_suppress(x, 0.9, "hann", 11),
+    "analyze": analyze,
+    "synthesize": lambda x: synthesize(x, 4),
+    "embed_spectrum": lambda x: embed_spectrum(x, 4),
+}
+LAYOUTS = {
+    "1d": lambda x: x[0, 0],
+    "2d": lambda x: x[0],
+    "3d": lambda x: x,
+    "strided": lambda x: x.reshape(20, 256)[::2],  # every other row
+    "fortran": lambda x: np.asfortranarray(x[0]),
 }
 
 
-@pytest.mark.parametrize("shape", [(256,), (20, 256), (4, 5, 256)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("step", STEPS)
-def test_steps_write_into_out(rng, step, shape):
+def test_steps_take_any_layout_and_leave_it_alone(rng, step, layout):
+    # a step makes its own C-ordered work copy: a strided or Fortran-ordered
+    # input gives the contiguous input's result, and no input is written to
     f = STEPS[step]
-    x = random_signal(rng, int(np.prod(shape)), scale=1.5).reshape(shape)
+    x = LAYOUTS[layout](random_signal(rng, 4 * 5 * 256, scale=1.5).reshape(4, 5, 256))
     before = x.copy()
-    ref = f(x)
-    # a fresh array; a view of every other entry along the first axis (in
-    # 3-D its leading axes do not merge into rows without a copy); the input
-    strided = np.empty((2 * shape[0],) + shape[1:], complex)[::2]
-    for out in (np.empty(shape, complex), strided, x):
-        assert f(x, out=out) is out
-        assert out.tobytes() == ref.tobytes()
-        if out is not x:
-            assert x.tobytes() == before.tobytes()
-    for bad in (np.empty(shape[:-1] + (255,), complex), np.empty(shape, np.complex64),
-                np.empty(shape), before.tolist()):
-        with pytest.raises(ValueError, match="out must be a complex128 array"):
-            f(before, out=bad)
+    y = f(x)
+    assert y.tobytes() == f(np.ascontiguousarray(x)).tobytes()
+    assert not np.shares_memory(y, x)
+    assert x.tobytes() == before.tobytes()

@@ -134,20 +134,10 @@ def test_peak_suppress_matches_scalar_loop(rng, make):
     x, thresh, w = make(rng)
     mag = np.abs(x)
     ref = peak_suppress_loop(x, mag, thresh, w)
-    # a new array, a given one, and (last, as it overwrites x) the input itself
-    for into in (None, np.empty_like(x), x):
-        y = _kernels.peak_suppress(x, mag, thresh, w, out=into)
-        assert into is None or y is into
-        assert np.array_equal(y, ref)
-        assert y.tobytes() == ref.tobytes()
-
-
-def test_peak_suppress_rejects_wrong_out(rng):
-    x, thresh, w = case_random_rows(rng)
-    for bad in (np.empty((50, 255), complex), np.empty(x.shape, np.complex64),
-                np.empty(x.shape), x.tolist()):
-        with pytest.raises(ValueError, match="out must be a complex128 array"):
-            _kernels.peak_suppress(x, np.abs(x), thresh, w, out=bad)
+    y = x.copy()
+    assert _kernels.peak_suppress(y, mag, thresh, w) is None  # scales y in place
+    assert np.array_equal(y, ref)
+    assert y.tobytes() == ref.tobytes()
 
 
 def nearest_labels_joint(points, constellation):
@@ -217,5 +207,6 @@ def test_peak_suppress_gain_stays_in_unit_interval(rng):
     mag = np.abs(x)
     thresh = np.full(10, 0.5)
     w = window("hann", 11)
-    y = _kernels.peak_suppress(x, mag, thresh, w)
+    y = x.copy()
+    _kernels.peak_suppress(y, mag, thresh, w)
     assert np.all(np.abs(y) <= mag * (1 + 1e-12))

@@ -252,10 +252,11 @@ def minor_faults() -> int:
     (OfdmConfig(1024, 8, 64), "pw"),
 ], ids=["none", "cf", "pw", "bign_pw"])
 def test_serial_blocks_reuse_their_memory(ofdm, strategy):
-    # A serial run writes every block into the same two buffers, so once the
-    # process is warm ten more blocks cost almost no page faults; block-sized
-    # arrays freed and trimmed after each block would be faulted back in,
-    # hundreds of pages a block.
+    # A run raises the malloc thresholds over a block's arrays before its
+    # first block, so a block's freed arrays stay on the heap for the next
+    # one and, once the process is warm, ten more blocks cost almost no page
+    # faults; block-sized arrays unmapped or trimmed after each block would
+    # be faulted back in, hundreds of pages a block.
     cfg = ClipConfig(3.0, 5, strategy)
     rows = simulate._BLOCK_SAMPLES // ofdm.n_samples
 
@@ -281,21 +282,51 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
 """
 
 
+def fresh_process_count(code: str, *args: str) -> int:
+    """The count a fresh interpreter prints when it runs ``code`` on this
+    checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 @pytest.mark.parametrize("strategy", ["cf", "pw"])
 def test_cold_process_does_not_fault_per_block(strategy):
     # The first run in a fresh process: block-sized float temporaries that
     # glibc maps and unmaps on every block would fault hundreds of pages a block.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-
     def faults(n_blocks):
-        done = subprocess.run([sys.executable, "-c", COLD_RUN, strategy, str(n_blocks)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return int(done.stdout)
+        return fresh_process_count(COLD_RUN, strategy, str(n_blocks))
 
     assert faults(12) - faults(2) <= 10 * 10
+
+
+POOL_RUN = """
+import resource
+from ofdmclip import ClipConfig, OfdmConfig, papr_samples, ser_errors, simulate
+ofdm = OfdmConfig(64, 4, 8)
+rows = simulate._BLOCK_SAMPLES // ofdm.n_samples
+
+def faults(n_blocks):
+    start = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    papr_samples(ofdm, ClipConfig(3.0, 5, "pw"), n_blocks * rows, seed=1, workers=2)
+    ser_errors(ofdm, ClipConfig(), [6.0, 12.0], n_blocks * rows, seed=1, workers=2)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - start
+
+few = faults(4)
+print(faults(24) - few)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_pool_workers_do_not_fault_per_block():
+    # Forked workers inherit the malloc thresholds the parent raised before
+    # the pool started; without them each worker maps and faults its block
+    # temporaries in again on every block, hundreds of pages a block.
+    assert fresh_process_count(POOL_RUN) <= 20 * 50
 
 
 @pytest.fixture
@@ -340,6 +371,16 @@ def test_every_worker_gets_a_block_below_the_budget(pools):
     assert pools == []
     parallel = papr_samples(ofdm, cfg, 6, seed=3, workers=2)
     assert len(pools) == 1 and pools[0][0] == 2 and len(pools[0][1]) >= 2
+    assert parallel.tobytes() == serial.tobytes()
+
+
+def test_pool_has_at_most_one_worker_per_cpu(pools):
+    # one-row blocks, more of them than CPUs; a pool that size is never started
+    n_symbols = 2 * (os.cpu_count() or 1) + 1
+    serial = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=1)
+    parallel = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=10**6)
+    assert len(pools) == 1 and len(pools[0][1]) == n_symbols
+    assert pools[0][0] <= (os.cpu_count() or 1)
     assert parallel.tobytes() == serial.tobytes()
 
 

@@ -98,24 +98,19 @@ def test_batched_last_axis(rng):
     assert np.array_equal(batch, rows)
 
 
-@pytest.mark.parametrize("oversample", (1, 4))
-@pytest.mark.parametrize("name", ("embed_spectrum", "synthesize", "analyze"))
-def test_transforms_write_into_out(rng, name, oversample):
-    f = {"embed_spectrum": lambda x, **kw: embed_spectrum(x, oversample, **kw),
-         "synthesize": lambda x, **kw: synthesize(x, oversample, **kw),
-         "analyze": analyze}[name]
+def test_analyze_writes_into_out(rng):
     x = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
     before = x.copy()
-    ref = f(x)
+    ref = analyze(x)
     fresh = np.empty_like(ref)
-    assert f(x, out=fresh) is fresh and fresh.tobytes() == ref.tobytes()
+    assert analyze(x, out=fresh) is fresh and fresh.tobytes() == ref.tobytes()
     assert x.tobytes() == before.tobytes()
-    if ref.shape == x.shape:  # the input itself; FFTs in place are exact
-        assert f(x, out=x) is x and x.tobytes() == ref.tobytes()
+    # the input itself; an FFT in place is exact
+    assert analyze(x, out=x) is x and x.tobytes() == ref.tobytes()
     for bad in (np.empty((6, 31), complex), np.empty(ref.shape, np.complex64),
                 np.empty(ref.shape), ref.tolist()):
         with pytest.raises(ValueError, match="out must be a complex128 array"):
-            f(before, out=bad)
+            analyze(before, out=bad)
 
 
 def test_size_validation():
