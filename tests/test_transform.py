@@ -98,8 +98,12 @@ def test_batched_last_axis(rng):
     assert np.array_equal(batch, rows)
 
 
-def test_analyze_writes_into_out(rng):
-    x = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
+@pytest.mark.parametrize("oversample", (1, 4))
+@pytest.mark.parametrize("name", ("analyze",))
+def test_transforms_write_into_out(rng, name, oversample):
+    # only analyze keeps out=; the oversample sets the length it is handed
+    n = 32 * oversample
+    x = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     before = x.copy()
     ref = analyze(x)
     fresh = np.empty_like(ref)
@@ -107,7 +111,7 @@ def test_analyze_writes_into_out(rng):
     assert x.tobytes() == before.tobytes()
     # the input itself; an FFT in place is exact
     assert analyze(x, out=x) is x and x.tobytes() == ref.tobytes()
-    for bad in (np.empty((6, 31), complex), np.empty(ref.shape, np.complex64),
+    for bad in (np.empty((6, n - 1), complex), np.empty(ref.shape, np.complex64),
                 np.empty(ref.shape), ref.tolist()):
         with pytest.raises(ValueError, match="out must be a complex128 array"):
             analyze(before, out=bad)
