@@ -21,6 +21,7 @@ steps in place on it.  NaN or inf samples raise ValueError.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,15 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     return _peak_window(np.array(signal, dtype=np.complex128, order="C"), a, kind, window_len)
 
 
+@functools.lru_cache(maxsize=16)
+def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
+    """``window(kind, window_len)``, read-only and computed once per process
+    rather than once per block and iteration (``np.kaiser`` takes ~0.3 ms)."""
+    w = window(kind, window_len)
+    w.flags.writeable = False
+    return w
+
+
 def _peak_window(x: np.ndarray, a, kind, window_len: int) -> np.ndarray:
     """``peak_window_suppress`` in place on the C-contiguous complex128
     array ``x``, viewed as rows."""
@@ -182,7 +192,7 @@ def _peak_window(x: np.ndarray, a, kind, window_len: int) -> np.ndarray:
     level = _row_levels(a, mag).reshape(-1)
     shape = (level.size, x.shape[-1])
     _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
-                           window(kind, window_len))
+                           _coefficients(as_window_kind(kind), int(window_len)))
     return x
 
 

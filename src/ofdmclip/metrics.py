@@ -84,8 +84,22 @@ def estimate_ccdf(papr_samples: np.ndarray, thresholds_db: np.ndarray) -> CcdfCu
 
 def ccdf_point_db(papr_samples: np.ndarray, prob: float = 1e-3) -> float:
     """The PAPR level exceeded with the given probability (empirical
-    quantile); non-finite samples raise ValueError."""
+    quantile); non-finite samples raise ValueError.
+
+    Equal to ``float(np.quantile(samples, 1 - prob))``: numpy's default
+    linear quantile, with its two-sided interpolation (``_lerp``), taken
+    here from one sort.  ``np.quantile`` itself goes through ``np.unique``,
+    which imports all of ``numpy.ma``, some 10 ms of every CLI run.
+    """
     samples = _samples(papr_samples)
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0, 1), got {prob}")
-    return float(np.quantile(samples, 1.0 - prob))
+    s = np.sort(samples)
+    v = (s.size - 1) * (1.0 - prob)
+    i = int(v)
+    g = v - i
+    lo, hi = s[i], s[min(i + 1, s.size - 1)]
+    # numpy's _lerp: interpolate from the nearer end, so g = 1 gives hi exactly
+    if g >= 0.5:
+        return float(hi - (hi - lo) * (1.0 - g))
+    return float(lo + (hi - lo) * g)

@@ -17,16 +17,19 @@ workers.  Bytes are reproducible per platform: ``log1p``, ``cos`` and
 
 One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
-workers) rows.  ``_block`` draws and synthesizes its rows once, runs every
-crest config on one work copy of them (each crest step in place), and for
-SER takes one FFT, in place in the transmitted rows, and demaps the in-band
-bins plus each SNR point's scaling of the one noise draw.  Every temporary
-is block-sized, whatever the run, the configs or N*L.  Serial runs go block
+workers) rows, ``workers`` capped at the CPU count.  ``_block`` draws and
+synthesizes its rows once, runs every crest config on one work copy of them
+(each crest step in place), and for SER takes one FFT, in place in the
+transmitted rows, and demaps the in-band bins plus each SNR point's scaling
+of the one noise draw.  Every temporary is block-sized, whatever the run,
+the configs or N*L.  Serial runs (one worker, one CPU or one block) go block
 by block in this process; otherwise the blocks go to one process pool of at
-most one worker per block and per CPU, reassembled in index order.  Before
-either, ``_run_blocks`` frees one two-block allocation, which raises glibc's
-malloc thresholds for the process and the workers it forks, so no block
-frees memory the next one faults back in.
+most one worker per block and per CPU, reassembled in index order.  Only a
+run that starts the pool imports ``concurrent.futures`` and
+``multiprocessing``, some 12 ms and 2.5 MiB of start-up.  Before either,
+``_run_blocks`` frees one two-block allocation, which raises glibc's malloc
+thresholds for the process and the workers it forks, so no block frees
+memory the next one faults back in.
 
 Measurements go through the checked rules, ``metrics.papr_db`` and
 ``metrics._mean_power``, so a crest step that zeroes a whole symbol raises
@@ -35,7 +38,6 @@ ValueError instead of giving NaN or a noiseless SER.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -181,6 +183,8 @@ def _block(task):
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
     _check_run(n_symbols, seed, workers)
+    # blocks are cut for the pool that runs them, at most one worker per CPU
+    workers = min(workers, os.cpu_count() or 1)
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))
     tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
              for lo in range(0, n_symbols, rows)]
@@ -192,7 +196,9 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
     if workers == 1 or len(tasks) == 1:
         return [_block(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
+    # imported here, so a run that starts no pool loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_block, tasks))
 
 

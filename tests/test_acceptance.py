@@ -10,6 +10,7 @@ form is checked where it is exact, on Gaussian bins, in
 ``test_metrics.py::test_nyquist_ccdf_formula_exact_for_gaussian_bins``.
 See README.
 """
+import concurrent.futures
 import math
 import time
 
@@ -20,7 +21,6 @@ from ofdmclip import (ClipConfig, OfdmConfig, analyze, ccdf_point_db, clip,
                       constellation, default_threshold_grid, estimate_ccdf,
                       extract_inband, measure_ser, papr_samples,
                       peak_window_suppress, synthesize, threshold_from_ratio)
-from ofdmclip import simulate
 from ofdmclip.cli import main as cli_main
 
 
@@ -263,12 +263,12 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypat
     t0 = time.perf_counter()
     pools = []
 
-    class CountingPool(simulate.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cases = {
         "ccdf": ["ccdf", "--symbols", "2000", "--seed", "9"],
         "ser": ["ser", "--symbols", "300", "--seed", "9",

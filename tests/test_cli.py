@@ -277,17 +277,20 @@ def test_module_entry_point_exit_codes(tmp_path):
 
 
 def test_no_command_imports_numpy_random(tmp_path):
-    # the engine computes its own Philox words; numpy.random's import alone
-    # costs several MiB of peak RSS
+    # the engine computes its own Philox words and quantiles, and only a run
+    # that starts a pool imports one: numpy.random's import alone costs
+    # several MiB of peak RSS, numpy.ma's and the pool's about 10 ms each
     tail = ["--symbols", "20", "--out", str(tmp_path / "x.csv")]
-    commands = [["ccdf", *tail], ["ser", "--workers", "1", *tail], ["window-sweep", *tail]]
+    commands = [*(["ccdf", "--clip", clip, *tail] for clip in STRATEGIES),
+                ["ser", "--workers", "1", *tail], ["window-sweep", *tail]]
+    unused = ["numpy.ma", "numpy.random", "concurrent.futures.process", "multiprocessing"]
     script = ("import sys\nfrom ofdmclip import cli\n"
               f"for argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
-              "print('numpy.random' in sys.modules)")
+              f"print([name for name in {unused!r} if name in sys.modules])")
     done = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_row_size_cap_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmclip import (OfdmConfig, ccdf_point_db, constellation,
                       default_threshold_grid, estimate_ccdf, papr_db,
@@ -114,7 +116,11 @@ def test_default_grid():
 
 def test_ccdf_point_is_upper_quantile():
     samples = np.arange(10000, dtype=float)
-    assert ccdf_point_db(samples, 1e-3) == pytest.approx(np.quantile(samples, 0.999))
+    assert ccdf_point_db(samples, 1e-3) == float(np.quantile(samples, 0.999))
+    # numpy interpolates from the nearer end: from the lower one alone, these
+    # are off in the last bit
+    for pair, prob in (([0.1, 0.3], 0.1), ([0.1, 0.9], 0.2), ([0.1, 0.3], 1e-3)):
+        assert ccdf_point_db(pair, prob) == float(np.quantile(pair, 1.0 - prob))
     with pytest.raises(ValueError):
         ccdf_point_db(samples, 0.0)
     with pytest.raises(ValueError):
@@ -122,6 +128,21 @@ def test_ccdf_point_is_upper_quantile():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             ccdf_point_db([1.0, bad, 5.0], 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+       decimals=st.sampled_from([None, 0, 1]), shift=st.floats(-20.0, 20.0),
+       prob=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.floats(0.0, 1e-6, exclude_min=True),
+                      st.floats(1.0 - 1e-6, 1.0, exclude_max=True)))
+def test_ccdf_point_equals_numpy_quantile(seed, n, decimals, shift, prob):
+    # numpy's default linear quantile exactly, from one sort: rounding gives
+    # repeated values, the shift negative ones
+    x = np.random.default_rng(seed).standard_normal(n) * 3.0 + shift
+    if decimals is not None:
+        x = np.round(x, decimals)
+    assert ccdf_point_db(x, prob) == float(np.quantile(x, 1.0 - prob))
 
 
 def test_nyquist_ccdf_formula_exact_for_gaussian_bins(rng):

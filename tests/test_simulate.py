@@ -1,4 +1,5 @@
 """Deterministic seeding and parallel-schedule independence."""
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze,
+from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, WindowKind, analyze,
                       constellation, demap_points, extract_inband, map_bits, measure_ser,
-                      papr_db, papr_samples, rcf, ser_errors)
-from ofdmclip import simulate
+                      papr_db, papr_samples, rcf, ser_errors, window)
+from ofdmclip import crest, simulate
 from ofdmclip.modulation import bits_to_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,8 +332,9 @@ def test_pool_workers_do_not_fault_per_block():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Replace ProcessPoolExecutor with a stand-in that maps in this process;
-    returns one (max_workers, tasks mapped) entry per pool started."""
+    """Replace ProcessPoolExecutor, where the engine looks it up when it
+    starts a pool, with a stand-in that maps in this process; returns one
+    (max_workers, tasks mapped) entry per pool started."""
     started = []
 
     class InProcessPool:
@@ -350,7 +352,7 @@ def pools(monkeypatch):
             self.tasks.extend(tasks)
             return map(fn, self.tasks)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return started
 
 
@@ -375,13 +377,37 @@ def test_every_worker_gets_a_block_below_the_budget(pools):
 
 
 def test_pool_has_at_most_one_worker_per_cpu(pools):
-    # one-row blocks, more of them than CPUs; a pool that size is never started
-    n_symbols = 2 * (os.cpu_count() or 1) + 1
+    # blocks are cut for the pool that runs them: a million workers asked for
+    # map the same tasks as one per CPU, and a pool that size is never started
+    cpus = os.cpu_count() or 1
+    n_symbols = 2 * cpus + 1
     serial = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=1)
+    per_cpu = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=cpus)
+    started = list(pools)
+    assert len(started) == (cpus > 1)
     parallel = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=10**6)
-    assert len(pools) == 1 and len(pools[0][1]) == n_symbols
-    assert pools[0][0] <= (os.cpu_count() or 1)
-    assert parallel.tobytes() == serial.tobytes()
+    assert pools[len(started):] == started
+    assert all(size <= cpus for size, _ in pools)
+    assert parallel.tobytes() == per_cpu.tobytes() == serial.tobytes()
+
+
+def test_each_peak_window_is_computed_once(monkeypatch):
+    # np.kaiser takes ~0.3 ms: the clip loop builds no window per iteration,
+    # and the public window() still hands out fresh, writable arrays
+    calls = []
+
+    def counting_window(kind, length):
+        calls.append((kind, length))
+        return window(kind, length)
+
+    crest._coefficients.cache_clear()
+    monkeypatch.setattr(crest, "window", counting_window)
+    cfgs = [ClipConfig(3.0, 5, "pw", name) for name in ("hann", "kaiser")]
+    papr_samples(OFDM, cfgs, 600, seed=1)  # three blocks at N*L = 128
+    assert 0 < len(calls) <= len(cfgs) * 3
+    w = window("kaiser", 11)
+    w[:] = 0.0
+    assert crest._coefficients(WindowKind("kaiser"), 11).all()
 
 
 def test_grid_and_sequence_validation(monkeypatch):
