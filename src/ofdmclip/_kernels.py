@@ -5,9 +5,8 @@ The kernels do not block: their temporaries grow with their input.  The
 Monte Carlo engine bounds memory by handing them one block of rows at a
 time (see ``simulate``).  ``peak_suppress`` scales its input in place.
 
-Magnitude masks are always computed by the *caller* with ``np.abs`` and
-passed in, so the same magnitudes decide clipping, peak detection and the
-over-threshold counts.
+The caller passes the magnitudes in: ``crest._crest_step`` takes ``np.abs``
+once per clip-loop iteration, ``crest._work_rows`` (the boundary check) once.
 """
 from __future__ import annotations
 

@@ -13,11 +13,14 @@ The clipping threshold A is set once from the *unclipped* signal's RMS as
 ``A = rms * 10**(clip_ratio_db / 20)`` and held fixed across iterations.
 
 The step functions work along the last axis on one signal or a batch of
-rows, with the level given once or per row.  Each public step copies its
-input once into a C-contiguous complex128 array and runs its private twin
-(``_clip``, ``_oob_filter``, ``_peak_window``) in place on that copy; the
-clip loop makes one such work copy per crest config and runs the private
-steps in place on it.  NaN or inf samples raise ValueError.
+rows, with the level given once or per row.  Each public step is a boundary
+check (a C-contiguous complex128 copy; NaN or inf samples raise ValueError),
+then an in-place core (``_clip``, ``_oob_filter``, ``_peak_window``) that
+checks nothing.  The clip loop checks its rows and levels once, in
+``threshold_from_ratio``, then ``_crest_step`` runs only the cores on one work
+copy per crest config: a clip scales by a/|x| <= 1, the OOB filter and a
+peak-window gain keep finite rows finite.  A row a step erases is caught
+after the loop, by the PAPR or power measurement.
 """
 from __future__ import annotations
 
@@ -84,24 +87,29 @@ class ClipReport:
 
 def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
     """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
-    signal, one level per row for a batch; empty, all-zero or non-finite rows
-    and a ratio whose gain is not finite and positive raise ValueError."""
+    signal, one level per row for a batch; empty, all-zero or non-finite rows,
+    a ratio whose gain is not finite and positive and a level that underflows
+    to 0 raise ValueError."""
     a = np.sqrt(_mean_power(signal, "clipping threshold")) * _clip_gain(clip_ratio_db)
+    if not (a > 0).all():
+        raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
     return float(a) if a.ndim == 0 else a
 
 
-def _row_levels(a, mag: np.ndarray) -> np.ndarray:
-    """Check a > 0 and a finite mag of at least one axis; one level per row,
-    shaped to broadcast against mag."""
-    if mag.ndim == 0:
+def _work_rows(signal, a):
+    """``clip``'s and ``peak_window_suppress``'s boundary check: a work copy x, |x|
+    and levels (..., 1); a scalar, a level not > 0 or NaN or inf raise ValueError."""
+    x = np.array(signal, dtype=np.complex128, order="C")
+    if x.ndim == 0:
         raise ValueError("signal needs rows of samples, got a scalar")
+    mag = np.abs(x)
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
     # max propagates NaN and inf, so one reduction checks every sample
     if not np.isfinite(mag.max(initial=0.0)):
         raise ValueError("signal must be finite (no NaN or inf samples)")
-    return np.broadcast_to(a, mag.shape[:-1])[..., None]
+    return x, mag, np.broadcast_to(a, x.shape[:-1])[..., None]
 
 
 def clip(signal: np.ndarray, a) -> np.ndarray:
@@ -113,13 +121,11 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    return _clip(np.array(signal, dtype=np.complex128, order="C"), a)
+    return _clip(*_work_rows(signal, a))
 
 
-def _clip(x: np.ndarray, a) -> np.ndarray:
-    """``clip`` in place on the C-contiguous complex128 array ``x``."""
-    mag = np.abs(x)
-    level = _row_levels(a, mag)
+def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no checks."""
     at = np.flatnonzero(mag > level)
     if at.size:
         limit = level.reshape(-1)[at // x.shape[-1]]
@@ -138,25 +144,21 @@ def _clip(x: np.ndarray, a) -> np.ndarray:
 
 def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
     """Zero every out-of-band bin of each row; a linear, idempotent projection."""
-    return _oob_filter(np.array(signal, dtype=np.complex128, order="C"),
-                       n_subcarriers, oversample)
-
-
-def _oob_filter(x: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
-    """``oob_filter`` in place on the C-contiguous complex128 array ``x``:
-    both FFTs run in it."""
-    total = n_subcarriers * oversample
-    if x.shape[-1:] != (total,):
+    x = np.array(signal, dtype=np.complex128, order="C")
+    if x.shape[-1:] != (n_subcarriers * oversample,):
         raise ValueError(f"signal rows must have {n_subcarriers} * {oversample} samples, "
                          f"got {x.shape or 'a scalar'}")
     _check_length(n_subcarriers, "n_subcarriers")
     _check_oversample(oversample)
-    with np.errstate(invalid="ignore"):  # inf - inf; reported just below
-        spectrum = analyze(x, out=x)
-    # bin 0 sums its row, so a NaN or inf sample leaves it non-finite
-    if not np.isfinite(spectrum[..., 0]).all():
+    if not np.isfinite(x).all():
         raise ValueError("signal must be finite (no NaN or inf samples)")
-    spectrum[..., n_subcarriers // 2: total - n_subcarriers // 2] = 0.0
+    return _oob_filter(x, n_subcarriers)
+
+
+def _oob_filter(x: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """``oob_filter`` in place on finite rows ``x``, both FFTs in it; no checks."""
+    spectrum = analyze(x, out=x)
+    spectrum[..., n_subcarriers // 2: x.shape[-1] - n_subcarriers // 2] = 0.0
     return np.fft.ifft(spectrum, norm="ortho", axis=-1, out=spectrum)
 
 
@@ -173,7 +175,8 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     lobes may locally amplify).
     """
     _check_window_len(window_len, "window length")
-    return _peak_window(np.array(signal, dtype=np.complex128, order="C"), a, kind, window_len)
+    return _peak_window(*_work_rows(signal, a),
+                        _coefficients(as_window_kind(kind), int(window_len)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,36 +188,35 @@ def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
     return w
 
 
-def _peak_window(x: np.ndarray, a, kind, window_len: int) -> np.ndarray:
-    """``peak_window_suppress`` in place on the C-contiguous complex128
-    array ``x``, viewed as rows."""
-    mag = np.abs(x)
-    level = _row_levels(a, mag).reshape(-1)
+def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``peak_window_suppress`` with coefficients ``w`` in place on ``x``, viewed
+    as rows, given mag = |x| and levels (..., 1); no checks."""
     shape = (level.size, x.shape[-1])
-    _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level,
-                           _coefficients(as_window_kind(kind), int(window_len)))
+    _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level.reshape(-1), w)
     return x
 
 
-def _crest_step(x: np.ndarray, a, cfg: ClipConfig, ofdm: OfdmConfig) -> None:
-    """One iteration of the clip loop at level(s) ``a``, in place on ``x``: a
-    peak window, or a clip followed, for ``cf``, by the OOB filter."""
+def _crest_step(x: np.ndarray, level: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig) -> None:
+    """One iteration of the clip loop in place on ``x``, levels (..., 1): a
+    peak window, or a clip and, for ``cf``, the OOB filter; no checks.  |x| is
+    taken once and freed before the OOB filter's FFTs."""
     if cfg.strategy == "pw":
-        _peak_window(x, a, cfg.window, cfg.window_len)
+        _peak_window(x, np.abs(x), level, _coefficients(cfg.window, cfg.window_len))
     else:
-        _clip(x, a)
+        _clip(x, np.abs(x), level)
         if cfg.strategy == "cf":
-            _oob_filter(x, ofdm.n_subcarriers, ofdm.oversample)
+            _oob_filter(x, ofdm.n_subcarriers)
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig) -> np.ndarray:
-    """The clip loop behind the Monte Carlo drivers, on rows of independent
-    symbols: every step runs in place on one copy of ``x0``, which is
-    returned (``x0`` is left as it is)."""
-    a = threshold_from_ratio(x0, cfg.clip_ratio_db)
+def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
+    """The clip loop of the Monte Carlo drivers on the rows ``x0``: ``x0`` itself
+    without crest reduction, else one copy with every step run in place on it."""
+    if cfg is None or cfg.iterations == 0:
+        return x0
+    level = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     x = x0.copy()
     for _ in range(cfg.iterations):
-        _crest_step(x, a, cfg, ofdm)
+        _crest_step(x, level, cfg, ofdm)
     return x
 
 
@@ -235,11 +237,11 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     papr_before = papr_db(x)
     if cfg.iterations == 0:
         return x, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
-    a = threshold_from_ratio(x, cfg.clip_ratio_db)
+    level = np.array([threshold_from_ratio(x, cfg.clip_ratio_db)])
     count = 0
     per_iter = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
-        count += int((np.abs(x) > a).sum())
-        _crest_step(x, a, cfg, ofdm)
+        count += int((np.abs(x) > level).sum())
+        _crest_step(x, level, cfg, ofdm)
         per_iter[it] = papr_db(x)
     return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)

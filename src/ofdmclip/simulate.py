@@ -17,7 +17,7 @@ workers.  Bytes are reproducible per platform: ``log1p``, ``cos`` and
 
 One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
-workers) rows, ``workers`` capped at the CPU count.  ``_block`` draws and
+workers) rows, ``workers`` capped at the usable CPUs.  ``_block`` draws and
 synthesizes its rows once, runs every crest config on one work copy of them
 (each crest step in place), and for SER takes one FFT, in place in the
 transmitted rows, and demaps the in-band bins plus each SNR point's scaling
@@ -145,14 +145,6 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
-def _crest(x, clip_cfg, ofdm):
-    """The crest-reduced rows: ``x`` itself without crest reduction, else
-    a new work copy."""
-    if clip_cfg is None or clip_cfg.iterations == 0:
-        return x
-    return _rcf_rows(x, clip_cfg, ofdm)
-
-
 def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     """Symbol errors of the transmitted rows ``tx`` (symbols lo, lo+1, ...) at
     every SNR point: one FFT, in place in ``tx``, then each point demaps the
@@ -169,6 +161,12 @@ def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     return errors
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where there is one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _block(task):
     """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
     of every crest config, shape (configs, rows), or (with an SNR grid) the
@@ -177,14 +175,14 @@ def _block(task):
     labels = _draw_labels(ofdm, seed, lo, hi)
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     if snr_db is None:
-        return np.stack([papr_db(_crest(x, cfg, ofdm)) for cfg in clip_cfgs])
-    return _symbol_errors(_crest(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
+        return np.stack([papr_db(_rcf_rows(x, cfg, ofdm)) for cfg in clip_cfgs])
+    return _symbol_errors(_rcf_rows(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
 
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
     _check_run(n_symbols, seed, workers)
     # blocks are cut for the pool that runs them, at most one worker per CPU
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _cpus())
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))
     tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
              for lo in range(0, n_symbols, rows)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
                       constellation, embed_spectrum, oob_filter, papr_db,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
-from ofdmclip.crest import _clip
+from ofdmclip.crest import _clip, _work_rows
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 
@@ -64,6 +64,17 @@ def test_threshold_rejects_zero_signal(rng):
         for ratio in NON_FINITE + (1e6, -1e6):
             with pytest.raises(ValueError, match="clip_ratio_db"):
                 threshold_from_ratio(random_signal(rng, 16), ratio)
+
+
+def test_threshold_rejects_an_underflowing_level():
+    # rms * gain can round to 0 for a tiny signal; the clip loop, which runs
+    # no level check of its own, must never see that level
+    tiny = 1e-160 * np.ones((2, 8), dtype=complex)
+    with pytest.raises(ValueError, match="clipping level must be positive, got 0.0"):
+        threshold_from_ratio(tiny, -6000.0)
+    symbol = 1e-160 * constellation(8).points[np.arange(64) % 8]
+    with pytest.raises(ValueError, match="clipping level must be positive, got 0.0"):
+        rcf(symbol, ClipConfig(-6000.0, 2, "cf"), OfdmConfig(64, 4, 8))
 
 
 # --- clip --------------------------------------------------------------------
@@ -155,9 +166,9 @@ def test_clip_matches_per_sample_oracle(rng):
         strided = np.empty((2 * x.shape[0],) + x.shape[1:], complex)[::2]
         strided[...] = x
         assert clip(strided, a).tobytes() == ref.tobytes(), name
-        # the private step, in place on a copy
-        inplace = x.copy()
-        assert _clip(inplace, a) is inplace
+        # the private step, in place on the boundary check's copy
+        inplace, mag, level = _work_rows(x, a)
+        assert _clip(inplace, mag, level) is inplace
         assert inplace.tobytes() == ref.tobytes(), name
     assert steps > 0  # the nudge was exercised
 

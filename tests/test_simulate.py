@@ -379,7 +379,7 @@ def test_every_worker_gets_a_block_below_the_budget(pools):
 def test_pool_has_at_most_one_worker_per_cpu(pools):
     # blocks are cut for the pool that runs them: a million workers asked for
     # map the same tasks as one per CPU, and a pool that size is never started
-    cpus = os.cpu_count() or 1
+    cpus = simulate._cpus()
     n_symbols = 2 * cpus + 1
     serial = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=1)
     per_cpu = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=cpus)
@@ -389,6 +389,47 @@ def test_pool_has_at_most_one_worker_per_cpu(pools):
     assert pools[len(started):] == started
     assert all(size <= cpus for size, _ in pools)
     assert parallel.tobytes() == per_cpu.tobytes() == serial.tobytes()
+
+
+def test_pool_fits_the_cpus_this_process_may_use(pools, monkeypatch):
+    # pinned to one CPU (taskset -c 0), a 2-worker run starts no pool
+    serial = papr_samples(OFDM, ClipConfig(), 600, seed=2, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simulate._cpus() == 1
+    assert papr_samples(OFDM, ClipConfig(), 600, seed=2, workers=2).tobytes() == serial.tobytes()
+    assert pools == []
+
+
+def test_clip_loop_runs_no_boundary_check(monkeypatch):
+    # the rows are checked once, by threshold_from_ratio; every iteration
+    # runs only the in-place cores
+    calls = []
+    for name in ("_work_rows", "_check_length", "_check_oversample"):
+        def counted(*args, _name=name, _fn=getattr(crest, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(crest, name, counted)
+    cfgs = [None] + [ClipConfig(3.0, 3, strategy) for strategy in STRATEGIES]
+    papr_samples(OFDM, cfgs, 300, seed=1)
+    ser_errors(OFDM, ClipConfig(), GRID, 300, seed=1)
+    ser_errors(OFDM, ClipConfig(3.0, 3, "pw"), GRID, 300, seed=1)
+    assert calls == []
+    x = np.ones((2, OFDM.n_samples), dtype=complex)
+    crest.clip(x, 1.0)
+    crest.oob_filter(x, OFDM.n_subcarriers, OFDM.oversample)
+    assert calls == ["_work_rows", "_check_length", "_check_oversample"]
+
+
+def test_clip_loop_copies_only_to_clip(rng):
+    labels = rng.integers(0, OFDM.mod_order, (2, OFDM.n_subcarriers))
+    x = simulate.synthesize(constellation(OFDM.mod_order).points[labels], OFDM.oversample)
+    before = x.tobytes()
+    for cfg in (None, ClipConfig(iterations=0)):
+        assert crest._rcf_rows(x, cfg, OFDM) is x
+    for strategy in STRATEGIES:
+        y = crest._rcf_rows(x, ClipConfig(strategy=strategy), OFDM)
+        assert not np.shares_memory(y, x) and y.tobytes() != before
+    assert x.tobytes() == before
 
 
 def test_each_peak_window_is_computed_once(monkeypatch):
