@@ -5,8 +5,10 @@ The kernels do not block: their temporaries grow with their input.  The
 Monte Carlo engine bounds memory by handing them one block of rows at a
 time (see ``simulate``).  ``peak_suppress`` scales its input in place.
 
-The caller passes the magnitudes in: ``crest._crest_step`` takes ``np.abs``
-once per clip-loop iteration, ``crest._work_rows`` (the boundary check) once.
+The caller passes the magnitudes in, as the interior of a bordered buffer
+(rows, n + 2 * pad) whose pad border columns hold -1: the row ends.
+``crest`` keeps one such buffer per crest config and block, and writes |x|
+into it once per clip-loop iteration.
 """
 from __future__ import annotations
 
@@ -23,67 +25,55 @@ import numpy as np
 # peak - half + d for each peak with depth 1 - a/|x|.  The envelope b is
 # capped at 1 and the gain 1 - min(b, 1) scales every sample.
 #
-# The search works on flat indices into the (rows, n) magnitudes: only the
+# The search works on flat indices into the bordered magnitudes: only the
 # samples above their row threshold are gathered, with their neighbours at
-# index - 1 and + 1; a neighbour read across a row end is masked by the
-# column (0 or n - 1), so no row sees the next one.
+# index - 1 and + 1.  Every threshold is > 0, so a -1 border sample is never
+# a candidate, is lower than any candidate and ends every plateau: a row end
+# reads as a lower neighbour, and no row sees the next one.
 #
-# The window offsets d run from W-1 down to 0, so every b[idx] receives its
-# peaks in ascending peak index: the float sums equal those of a scalar loop
-# that adds one whole window per peak, peak by peak.  For one d all targets
-# are distinct, so a fancy-indexed += adds each term once.
+# The envelope shares the bordered layout (pad >= min(half, n - 1) keeps
+# every shifted peak inside its row's span), so one np.bincount adds every
+# term.  Its input runs over the window offsets d from W-1 down to 0, then
+# over the peaks in ascending order: every bin receives its peaks in
+# ascending peak index, and the float sums equal those of a scalar loop that
+# adds one whole window per peak, peak by peak.
 # ---------------------------------------------------------------------------
 
 
 def _peaks(m, a):
-    """Flat indices of the peaks in the (rows, n) magnitudes ``m``, in
+    """Flat indices of the peaks in the bordered magnitudes ``m``, in
     ascending order.  Only samples above the row threshold are looked at;
-    the rare rows where a candidate starts a plateau are searched whole for
-    the plateau's end."""
-    n = m.shape[1]
+    the rare candidates that start a plateau are followed to its end."""
     flat = m.reshape(-1)
-    last = flat.size - 1
     at = np.flatnonzero(m > a[:, None])
-    col = at % n
     v = flat[at]
-    rising = (col == 0) | (flat[at - 1] < v)
-    at, col, v = at[rising], col[rising], v[rising]
-    end = col.copy()  # last column of the plateau each candidate starts
-    right = flat[np.minimum(at + 1, last)]  # the sample after that column
-    plateau = np.flatnonzero((col < n - 1) & (right == v))
+    rising = flat[at - 1] < v
+    at, v = at[rising], v[rising]
+    right = flat[at + 1]  # the sample after the plateau each candidate starts
+    plateau = np.flatnonzero(right == v)
     if plateau.size:
-        r, inv = np.unique(at[plateau] // n, return_inverse=True)
-        sub = m[r]
-        # the first j >= col with m[j + 1] != m[j], or the row's last sample
-        change = np.ones(sub.shape, dtype=bool)
-        np.not_equal(sub[:, 1:], sub[:, :-1], out=change[:, :-1])
-        changes = np.flatnonzero(change)
-        end[plateau] = changes[np.searchsorted(changes, inv * n + col[plateau])] - inv * n
-        right[plateau] = flat[np.minimum(at[plateau] - col[plateau] + end[plateau] + 1, last)]
-    keep = (end == n - 1) | (right < v)
-    return at[keep]
+        # the first j >= at with m[j + 1] != m[j]: a border at the latest
+        changes = np.flatnonzero(flat[1:] != flat[:-1])
+        right[plateau] = flat[changes[np.searchsorted(changes, at[plateau])] + 1]
+    return at[right < v]
 
 
 def peak_suppress(x, mag, thresh, w) -> None:
-    """Peak-window the rows ``x`` (rows, n) in place, given ``mag = np.abs(x)``,
-    per-row thresholds ``thresh`` and window coefficients ``w`` (odd length)."""
+    """Peak-window the rows ``x`` (rows, n) in place, given their magnitudes
+    as the interior of ``mag`` (rows, n + 2 * pad), whose border columns hold
+    -1 and pad >= max(1, min(half, n - 1)), per-row thresholds ``thresh`` > 0
+    and window coefficients ``w`` (odd length)."""
     n = x.shape[1]
-    if n == 0:  # the row padding below needs a sample
-        return
+    pad = (mag.shape[1] - n) // 2
     half = (w.size - 1) // 2
+    reach = min(half, pad)  # no shift past it lands inside the row
     peaks = _peaks(mag, thresh)
-    rows, cols = np.divmod(peaks, n)
-    depth = 1.0 - thresh[rows] / mag.reshape(-1)[peaks]
-    # each row padded by `pad` on both sides so no shifted peak leaves its row
-    pad = min(half, n - 1)
-    b = np.zeros((x.shape[0], n + 2 * pad))
-    flat = b.ravel()
-    at = rows * (n + 2 * pad) + cols + pad
-    for d in range(w.size - 1, -1, -1):
-        s = d - half
-        if abs(s) < n:
-            flat[at + s] += depth * w[d]
-    gain = b[:, pad:pad + n]
+    depth = 1.0 - thresh[peaks // mag.shape[1]] / mag.reshape(-1)[peaks]
+    shift = np.arange(reach, -reach - 1, -1)[:, None]  # d - half, d descending
+    b = np.bincount((peaks + shift).ravel(), (depth * w[half + shift]).ravel(),
+                    minlength=mag.size)
+    # with no peak at all, np.bincount counts in int64
+    gain = b.astype(float, copy=False).reshape(mag.shape)[:, pad:pad + n]
     np.minimum(gain, 1.0, out=gain)
     np.subtract(1.0, gain, out=gain)
     x *= gain

@@ -21,10 +21,16 @@ checks nothing.  The clip loop checks its rows and levels once, in
 copy per crest config: a clip scales by a/|x| <= 1, the OOB filter and a
 peak-window gain keep finite rows finite.  A row a step erases is caught
 after the loop, by the PAPR or power measurement.
+
+The peak window reads |x| from a float buffer whose rows carry -1 border
+columns (``_border``), so the peak search needs no row-end bookkeeping.  A
+``pw`` loop allocates that buffer once per block and writes |x| into its
+interior on every iteration; ``cf`` and ``none`` take a plain ``np.abs``.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +102,14 @@ def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np
     return float(a) if a.ndim == 0 else a
 
 
-def _work_rows(signal, a):
+def _work_rows(signal, a, window_len=None):
     """``clip``'s and ``peak_window_suppress``'s boundary check: a work copy x, |x|
-    and levels (..., 1); a scalar, a level not > 0 or NaN or inf raise ValueError."""
+    and levels (..., 1); a scalar, a level not > 0 or NaN or inf raise ValueError.
+    Given a ``window_len``, |x| is the interior of a bordered buffer (``_border``)."""
     x = np.array(signal, dtype=np.complex128, order="C")
     if x.ndim == 0:
         raise ValueError("signal needs rows of samples, got a scalar")
-    mag = np.abs(x)
+    mag = np.abs(x) if window_len is None else _abs_into(x, _border(x, window_len))
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
@@ -110,6 +117,23 @@ def _work_rows(signal, a):
     if not np.isfinite(mag.max(initial=0.0)):
         raise ValueError("signal must be finite (no NaN or inf samples)")
     return x, mag, np.broadcast_to(a, x.shape[:-1])[..., None]
+
+
+def _border(x: np.ndarray, window_len: int) -> np.ndarray:
+    """The peak search's float buffer for |x| as rows: (rows, n + 2 * pad) with
+    pad = max(1, min(window_len // 2, n - 1)), its border columns -1, the row
+    ends ``_kernels.peak_suppress`` reads."""
+    n = x.shape[-1]
+    pad = max(1, min(window_len // 2, n - 1))
+    return np.full((math.prod(x.shape[:-1]), n + 2 * pad), -1.0)
+
+
+def _abs_into(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """np.abs(x) into the interior of the bordered buffer ``mag``; returns mag."""
+    n = x.shape[-1]
+    pad = (mag.shape[1] - n) // 2
+    np.abs(x.reshape(mag.shape[0], n), out=mag[:, pad:pad + n])
+    return mag
 
 
 def clip(signal: np.ndarray, a) -> np.ndarray:
@@ -175,8 +199,9 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     lobes may locally amplify).
     """
     _check_window_len(window_len, "window length")
-    return _peak_window(*_work_rows(signal, a),
-                        _coefficients(as_window_kind(kind), int(window_len)))
+    window_len = int(window_len)
+    return _peak_window(*_work_rows(signal, a, window_len),
+                        _coefficients(as_window_kind(kind), window_len))
 
 
 @functools.lru_cache(maxsize=16)
@@ -190,18 +215,19 @@ def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
 
 def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``peak_window_suppress`` with coefficients ``w`` in place on ``x``, viewed
-    as rows, given mag = |x| and levels (..., 1); no checks."""
-    shape = (level.size, x.shape[-1])
-    _kernels.peak_suppress(x.reshape(shape), mag.reshape(shape), level.reshape(-1), w)
+    as rows, given |x| in the bordered buffer ``mag`` and levels (..., 1); no checks."""
+    _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, level.reshape(-1), w)
     return x
 
 
-def _crest_step(x: np.ndarray, level: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig) -> None:
+def _crest_step(x: np.ndarray, mag: np.ndarray | None, level: np.ndarray,
+                cfg: ClipConfig, ofdm: OfdmConfig) -> None:
     """One iteration of the clip loop in place on ``x``, levels (..., 1): a
-    peak window, or a clip and, for ``cf``, the OOB filter; no checks.  |x| is
-    taken once and freed before the OOB filter's FFTs."""
+    peak window, with |x| written into the loop's bordered buffer ``mag``, or
+    a clip and, for ``cf``, the OOB filter, with |x| taken once and freed
+    before the OOB filter's FFTs; no checks."""
     if cfg.strategy == "pw":
-        _peak_window(x, np.abs(x), level, _coefficients(cfg.window, cfg.window_len))
+        _peak_window(x, _abs_into(x, mag), level, _coefficients(cfg.window, cfg.window_len))
     else:
         _clip(x, np.abs(x), level)
         if cfg.strategy == "cf":
@@ -215,8 +241,9 @@ def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.nd
         return x0
     level = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     x = x0.copy()
+    mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
     for _ in range(cfg.iterations):
-        _crest_step(x, level, cfg, ofdm)
+        _crest_step(x, mag, level, cfg, ofdm)
     return x
 
 
@@ -238,10 +265,11 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     if cfg.iterations == 0:
         return x, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
     level = np.array([threshold_from_ratio(x, cfg.clip_ratio_db)])
+    mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
     count = 0
     per_iter = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
         count += int((np.abs(x) > level).sum())
-        _crest_step(x, level, cfg, ofdm)
+        _crest_step(x, mag, level, cfg, ofdm)
         per_iter[it] = papr_db(x)
     return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)

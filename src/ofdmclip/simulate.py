@@ -27,7 +27,7 @@ by block in this process; otherwise the blocks go to one process pool of at
 most one worker per block and per CPU, reassembled in index order.  Only a
 run that starts the pool imports ``concurrent.futures`` and
 ``multiprocessing``, some 12 ms and 2.5 MiB of start-up.  Before either,
-``_run_blocks`` frees one two-block allocation, which raises glibc's malloc
+``_run_blocks`` frees one three-block allocation, which raises glibc's malloc
 thresholds for the process and the workers it forks, so no block frees
 memory the next one faults back in.
 
@@ -188,10 +188,12 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
              for lo in range(0, n_symbols, rows)]
     # Freeing an mmapped chunk raises glibc's mmap threshold to its size and
     # the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).  This
-    # freed chunk of two blocks lifts both over a block's temporaries, so they
-    # stay on the heap instead of being mapped and faulted in again on every
-    # block; forked pool workers inherit the raised thresholds.
-    np.empty((2, rows, ofdm.n_samples), dtype=np.complex128)
+    # freed chunk of three blocks lifts both over a block's temporaries, so
+    # they stay on the heap instead of being mapped and faulted in again on
+    # every block; forked pool workers inherit the raised thresholds.  A
+    # peak-window block's heap reaches ~2.1 MiB at 32768 samples, over the
+    # 2 MiB trim threshold that two blocks would give.
+    np.empty((3, rows, ofdm.n_samples), dtype=np.complex128)
     if workers == 1 or len(tasks) == 1:
         return [_block(t) for t in tasks]
     # imported here, so a run that starts no pool loads no multiprocessing

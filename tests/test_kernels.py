@@ -40,6 +40,13 @@ def peak_suppress_loop(x, mag, thresh, w):
     return y
 
 
+def bordered(mag, w):
+    """``mag`` in the kernel's bordered layout: pad = max(1, min(half, n - 1))
+    columns of -1 on both sides of each row."""
+    pad = max(1, min(w.size // 2, mag.shape[1] - 1))
+    return np.pad(mag, ((0, 0), (pad, pad)), constant_values=-1.0)
+
+
 def batch(rng, rows=20, n=256, scale=1.2):
     return scale * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
 
@@ -92,6 +99,26 @@ def case_window_longer_than_row(rng):
     return batch(rng, rows=40, n=4, scale=2.0), np.full(40, 1.0), window("hann", 11)
 
 
+def case_rows_of_one(rng):
+    # pad 1 with a window reaching 5 samples past it
+    return batch(rng, rows=30, n=1, scale=2.0), np.full(30, 1.0), window("hann", 11)
+
+
+def case_rows_of_two(rng):
+    x = batch(rng, rows=30, n=2, scale=2.0)
+    x[::5, 1] = x[::5, 0]  # a two-sample plateau
+    return x, np.full(30, 1.0), window("hamming", 7)
+
+
+def case_no_peak(rng):
+    # nothing above any level, so np.bincount has no term; every sample is
+    # still scaled by 1 - 0, which turns these signed zeros into +0.0
+    x = batch(rng, rows=8, n=64)
+    x[::2, ::3] = complex(-0.0, -0.0)
+    x[1::2, ::4] = complex(0.5, -0.0)
+    return x, np.abs(x).max(axis=1) + 1.0, window("hann", 11)
+
+
 def case_rect_1(rng):
     return batch(rng), np.full(20, 1.3), window("rect", 1)
 
@@ -127,7 +154,8 @@ def case_many_blocks(rng):
 @pytest.mark.parametrize("make", [
     case_random_rows, case_quantized_plateaus, case_boundary_peaks,
     case_row_ends_below_next_start, case_equal_across_row_end,
-    case_window_longer_than_row, case_rect_1, case_flattop, case_long_plateaus,
+    case_window_longer_than_row, case_rows_of_one, case_rows_of_two, case_no_peak,
+    case_rect_1, case_flattop, case_long_plateaus,
     case_many_blocks,
 ], ids=lambda f: f.__name__[5:])
 def test_peak_suppress_matches_scalar_loop(rng, make):
@@ -135,7 +163,7 @@ def test_peak_suppress_matches_scalar_loop(rng, make):
     mag = np.abs(x)
     ref = peak_suppress_loop(x, mag, thresh, w)
     y = x.copy()
-    assert _kernels.peak_suppress(y, mag, thresh, w) is None  # scales y in place
+    assert _kernels.peak_suppress(y, bordered(mag, w), thresh, w) is None  # scales y in place
     assert np.array_equal(y, ref)
     assert y.tobytes() == ref.tobytes()
 
@@ -208,5 +236,5 @@ def test_peak_suppress_gain_stays_in_unit_interval(rng):
     thresh = np.full(10, 0.5)
     w = window("hann", 11)
     y = x.copy()
-    _kernels.peak_suppress(y, mag, thresh, w)
+    _kernels.peak_suppress(y, bordered(mag, w), thresh, w)
     assert np.all(np.abs(y) <= mag * (1 + 1e-12))
