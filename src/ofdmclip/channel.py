@@ -62,10 +62,10 @@ def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
     Per OFDM symbol: random bits -> Gray map -> synthesize -> optional
     crest reduction -> analyze -> in-band extraction -> AWGN on the in-band
     bins (the same noise per bin as AWGN before the unitary FFT) ->
-    nearest-point demap.  Pure function of (configs, snr_db, n_symbols, seed);
-    ``workers`` only changes the wall time.  ``snr_db`` is one point; a
-    grid raises ValueError before anything is simulated (``ser_errors``
-    takes grids).
+    nearest-point decision, counted against the sent levels.  Pure function
+    of (configs, snr_db, n_symbols, seed); ``workers`` only changes the wall
+    time.  ``snr_db`` is one point; a grid raises ValueError before anything
+    is simulated (``ser_errors`` takes grids).
     """
     _check_point(snr_db, "; ser_errors takes a grid")
     errors = simulate.ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed, workers)

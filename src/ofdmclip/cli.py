@@ -207,7 +207,10 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
-        print(f"memory error: {exc}", file=sys.stderr)
+        # numpy and the allocator often raise it bare
+        what = str(exc) or (f"{args.command} --symbols {args.symbols} needs more memory "
+                            "than there is")
+        print(f"memory error: {what}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

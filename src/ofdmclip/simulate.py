@@ -12,24 +12,24 @@ E|z|^2 = 2.  The SER receiver adds sqrt(P_i / 10**(snr/10) / 2) * z to the N
 in-band bins of row i's unitary FFT, P_i the row's mean power: exact in
 distribution, as a unitary FFT keeps white noise's variance per bin.
 Results depend only on (config, seed, symbol index), never on blocks or
-workers.  Bytes are reproducible per platform: ``log1p``, ``cos`` and
-``sin`` may differ in the last bit between CPUs.
+workers.  Bytes are reproducible per platform; the README lists the numpy
+kernels that may differ in the last bit with the CPU's SIMD dispatch.
 
 One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
 workers) rows, ``workers`` capped at the usable CPUs.  ``_block`` draws and
 synthesizes its rows once, runs every crest config on one work copy of them
 (each crest step in place), and for SER takes one FFT, in place in the
-transmitted rows, and demaps the in-band bins plus each SNR point's scaling
-of the one noise draw.  Every temporary is block-sized, whatever the run,
-the configs or N*L.  Serial runs (one worker, one CPU or one block) go block
-by block in this process; otherwise the blocks go to one process pool of at
-most one worker per block and per CPU, reassembled in index order.  Only a
-run that starts the pool imports ``concurrent.futures`` and
-``multiprocessing``, some 12 ms and 2.5 MiB of start-up.  Before either,
-``_run_blocks`` frees one three-block allocation, which raises glibc's malloc
-thresholds for the process and the workers it forks, so no block frees
-memory the next one faults back in.
+transmitted rows, and tests the in-band bins plus each SNR point's scaling
+of the one noise draw against the sent levels, with no demap.  Every
+temporary is block-sized, whatever the run, the configs or N*L.  Serial runs
+(one worker, one CPU or one block) go block by block in this process;
+otherwise the blocks go to one process pool of at most one worker per block
+and per CPU, reassembled in index order.  Only a run that starts the pool
+imports ``concurrent.futures`` and ``multiprocessing``, some 12 ms and 2.5
+MiB of start-up.  Before either, ``_run_blocks`` frees one three-block
+allocation, which raises glibc's malloc thresholds for the process and the
+workers it forks, so no block frees memory the next one faults back in.
 
 Measurements go through the checked rules, ``metrics.papr_db`` and
 ``metrics._mean_power``, so a crest step that zeroes a whole symbol raises
@@ -145,20 +145,64 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
+# A bin is in error iff, on some axis, it lies past the midpoint between its
+# sent level and a neighbour: max(w + b - above, below - b - w) > 0, b the
+# noiseless bin, w its noise, above and below the midpoints per Gray code
+# (+-inf outside).  That is the verdict of nearest_labels' argmin over rounded
+# squared distances (ties to the lower Gray code) wherever no rounding can
+# reach the sign.  Rounding is monotone, so only a tie with the exact nearest
+# level can differ.  With half-gaps h >= 0.15, levels within 1.3 of 0 and
+# |x| < _FAR, the two distances 4*h*|x - mid| apart each round by under
+# 3 * 2**-53 * (_FAR + 1.3)**2: no tie past 1.1e-9 of a midpoint, where the
+# margin, off by under 1e-12, has the right sign.  Bins within _GUARD of a
+# midpoint, and whole points whose noise could reach _FAR, go to nearest_labels.
+_GUARD, _FAR = 1e-8, 1e3
+
+
+def _error_masks(bins, labels, axes, z, scales):
+    """For each noise scale s (rows, 1) in ``scales``, the (rows, n) mask of
+    the bins of ``bins + s * z`` whose nearest label, as
+    ``_kernels.nearest_labels(rx, *axes)`` takes it, is not ``labels``."""
+    q_bits = axes[1].size.bit_length() - 1
+    over, under = np.empty((2, 2, *bins.shape))
+    for k, (b, levels, shift) in enumerate(zip((bins.real, bins.imag), axes, (q_bits, 0))):
+        code = ((labels >> shift) & (levels.size - 1)).astype(np.intp)  # gathers faster than uint8
+        order = np.argsort(levels)
+        mid = (levels[order[1:]] + levels[order[:-1]]) / 2
+        above, below = np.empty((2, levels.size))
+        above[order], below[order] = np.append(mid, np.inf), np.append(-np.inf, mid)
+        np.subtract(b, above[code], out=over[k])
+        np.subtract(below[code], b, out=under[k])
+    reach = [max(np.abs(x.real).max(), np.abs(x.imag).max()) for x in (bins, z)]
+    w, m = np.empty_like(over), np.empty_like(over)
+    for s in scales:
+        if not reach[0] + s.max() * reach[1] < _FAR:
+            yield _kernels.nearest_labels(bins + s * z, *axes).reshape(labels.shape) != labels
+            continue
+        np.multiply(s, z.real, out=w[0])
+        np.multiply(s, z.imag, out=w[1])
+        np.add(w, over, out=m)
+        np.subtract(under, w, out=w)
+        margin = np.maximum(m, w, out=m).max(axis=0)
+        err = margin > _GUARD
+        if np.count_nonzero(margin >= -_GUARD) != np.count_nonzero(err):
+            near = np.flatnonzero(np.abs(margin) <= _GUARD)
+            rx = bins.flat[near] + s[near // bins.shape[1], 0] * z.flat[near]
+            err.flat[near] = _kernels.nearest_labels(rx, *axes) != labels.flat[near]
+        yield err
+
+
 def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
     """Symbol errors of the transmitted rows ``tx`` (symbols lo, lo+1, ...) at
-    every SNR point: one FFT, in place in ``tx``, then each point demaps the
-    in-band bins plus that point's scaling of the symbols' noise."""
-    axes = constellation(ofdm.mod_order).axes
+    every SNR point: one FFT, in place in ``tx``, then each point's error test
+    on the in-band bins plus that point's scaling of the symbols' noise."""
     power = _mean_power(tx, "SNR")[:, None]
     bins = extract_inband(analyze(tx, out=tx), ofdm.n_subcarriers)
-    z = None if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(bins),
-                                                         ofdm.n_subcarriers)
-    errors = np.zeros(snr_db.size, dtype=np.int64)
-    for k, snr in enumerate(snr_db):
-        rx = bins if np.isposinf(snr) else bins + np.sqrt(power / 10.0 ** (snr / 10.0) / 2.0) * z
-        errors[k] = np.count_nonzero(_kernels.nearest_labels(rx, *axes) != labels.ravel())
-    return errors
+    z = (np.zeros_like(bins) if np.isposinf(snr_db).all()
+         else _normals(seed, lo, lo + len(bins), ofdm.n_subcarriers))
+    scales = (np.sqrt(power / 10.0 ** (snr / 10.0) / 2.0) for snr in snr_db)
+    masks = _error_masks(bins, labels, constellation(ofdm.mod_order).axes, z, scales)
+    return np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
 
 
 def _cpus() -> int:

@@ -17,10 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from ofdmclip import (ClipConfig, OfdmConfig, analyze, ccdf_point_db, clip,
-                      constellation, default_threshold_grid, estimate_ccdf,
-                      extract_inband, measure_ser, papr_samples,
-                      peak_window_suppress, synthesize, threshold_from_ratio)
+from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze, ccdf_point_db,
+                      clip, constellation, default_threshold_grid, estimate_ccdf,
+                      extract_inband, measure_ser, papr_samples, peak_window_suppress,
+                      ser_errors, synthesize, threshold_from_ratio)
 from ofdmclip.cli import main as cli_main
 
 
@@ -293,3 +293,70 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypat
     elapsed = time.perf_counter() - t0
     report(10, "CLI byte determinism across workers", all_ok,
            f"commands={list(cases)} pools={pool_counts} elapsed={elapsed:.0f}s")
+
+
+def gray_grid_row_errors(m, n, snr_db):
+    """Exact mean and variance of one unclipped L=1 OFDM symbol's symbol
+    errors at ``snr_db``, n subcarriers of order ``m``.
+
+    The engine's noise on each axis of a bin has variance P / (2 * snr), P
+    the row's mean symbol energy.  A point of 2**k-level axes errs with
+    1 - (1 - p_I)(1 - p_Q), p = (neighbours) * Q(d / sigma), d the half-spacing:
+    averaged over the levels, the closed form 2(1 - 2**-k) Q(d / sigma).  P
+    depends on the row's symbols, so the mean and the second moment are
+    taken over the exact distribution of the other symbols' energies:
+    the integer multiples of the smallest energy, summed by convolution.
+    """
+    from scipy.special import erfc
+
+    c = constellation(m)
+    energy = np.abs(c.points) ** 2
+    units = np.rint(energy / energy.min()).astype(int)
+    one = np.bincount(units) / m
+    pmf = [np.ones(1)]
+    for _ in range(n - 1):
+        pmf.append(np.convolve(pmf[-1], one))
+    total = np.arange(1, n * units.max() + 1)  # the row's energy in units
+    sigma = np.sqrt(total * energy.min() / n / (2 * 10 ** (snr_db / 10)))
+    ok = np.ones((total.size + 1, m))  # [t, x]: point x decided right at energy t
+    for levels, value in zip(c.axes, (c.points.real, c.points.imag)):
+        if levels.size > 1:
+            d = np.diff(np.sort(levels)).min() / 2
+            outer = np.isclose(np.abs(value), np.abs(levels).max())
+            p = (2 - outer) * 0.5 * erfc(d / sigma / np.sqrt(2))[:, None]
+            ok[1:] *= 1 - p
+    err = 1 - ok
+    mean = n * np.mean([pmf[n - 1] @ err[u:u + pmf[n - 1].size, x] for x, u in enumerate(units)])
+    # two distinct bins of the row: their errors are independent given the row
+    kinds = np.unique(units)
+    by_kind = err @ (units[:, None] == kinds)
+    pair = sum(pmf[n - 2] @ (by_kind[u + v:u + v + pmf[n - 2].size, i]
+                             * by_kind[u + v:u + v + pmf[n - 2].size, j])
+               for i, u in enumerate(kinds) for j, v in enumerate(kinds)) / m ** 2
+    return mean, mean + n * (n - 1) * pair - mean ** 2
+
+
+def test_c11_gray_grid_ser_matches_exact_theory():
+    # Unclipped, L=1, every order on the default grid.  Fixed before the
+    # first run: 40 comparisons (5 orders x 8 points) under a family-wise 1 %
+    # two-sided Bonferroni bound, gated where theory expects >= 20 errors, the
+    # SE clustered by OFDM symbol; QPSK's gate c04 stays as it is.
+    from scipy.stats import norm
+
+    t0 = time.perf_counter()
+    n_sym, grid = 20_000, np.arange(0.0, 15.0, 2.0)
+    bound = norm.isf(0.01 / (2 * len(SUPPORTED_ORDERS) * grid.size))
+    worst, gated, rows = 0.0, 0, []
+    for m in SUPPORTED_ORDERS:
+        ofdm = OfdmConfig(64, 1, m)
+        counts = ser_errors(ofdm, None, grid, n_sym, seed=1, workers=2)
+        for snr_db, count in zip(grid, counts):
+            mean, var = gray_grid_row_errors(m, ofdm.n_subcarriers, snr_db)
+            if n_sym * mean >= 20:
+                z = (count - n_sym * mean) / np.sqrt(n_sym * var)
+                worst, gated = max(worst, abs(z)), gated + 1
+                rows.append(f"{m}@{snr_db:g}:{z:+.2f}")
+    elapsed = time.perf_counter() - t0
+    ok = gated >= 30 and worst <= bound and elapsed < 120
+    report(11, f"Gray-grid SER vs exact theory (|z| <= {bound:.2f})", ok,
+           f"gated={gated} worst |z|={worst:.2f} {' '.join(rows)} elapsed={elapsed:.0f}s")

@@ -11,6 +11,7 @@ import pytest
 
 from ofdmclip import (DEFAULT_KAISER_BETA, STRATEGIES, SUPPORTED_ORDERS, WINDOW_NAMES,
                       ClipConfig, OfdmConfig)
+from ofdmclip import cli
 from ofdmclip.cli import SWEEP_WINDOWS, build_parser, main
 from ofdmclip.transform import _OVERSAMPLE_CHOICES, MAX_ROW_SAMPLES
 
@@ -316,4 +317,19 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     err = capsys.readouterr().err
     assert err == "memory error: Unable to allocate 16.0 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_bare_memory_error_names_the_run(tmp_path, capsys, monkeypatch):
+    # a MemoryError with no text still says what ran out
+    def no_memory(args, parser):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "ccdf", no_memory)
+    out = tmp_path / "x.csv"
+    assert main(["ccdf", "--symbols", "1000000000000", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("memory error: ccdf --symbols 1000000000000 needs more memory "
+                            "than there is\n")
     assert not out.exists()

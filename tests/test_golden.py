@@ -6,10 +6,15 @@ measurements or the formatting shows here.  A change to the bytes must be a
 declared contract change that records new digests.
 """
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from numpy._core import _multiarray_umath as umath
 
 from ofdmclip.cli import main
 
@@ -70,6 +75,43 @@ def test_output_bytes_are_golden(clean_env, capsys, case):
     got = hashlib.sha256((clean_env / "out.csv").read_bytes()
                          + captured.out.encode()).hexdigest()
     assert got == DIGESTS[case]
+
+
+# The golden commands in a fresh process, which checks that numpy took the
+# features named in its second argument out of use, and prints the digests.
+REDUCED_RUN = """
+import contextlib, hashlib, io, json, sys, warnings
+from numpy._core import _multiarray_umath as umath
+from ofdmclip.cli import main
+assert not any(umath.__cpu_features__[f] for f in sys.argv[2].split())
+digests = {}
+for case, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", "out.csv"]) == 0 and not err.getvalue()
+    with open("out.csv", "rb") as fh:
+        digests[case] = hashlib.sha256(fh.read() + out.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_output_bytes_are_golden_under_reduced_simd_dispatch(clean_env):
+    # numpy picks some kernels (Box-Muller's log1p, cos and sin, complex abs,
+    # log10) by CPU feature; with every feature it dispatches above its
+    # baseline turned off, the bytes must stay the same
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches no feature above its baseline on this CPU")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    disabled = " ".join(features)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", REDUCED_RUN, json.dumps(COMMANDS), disabled],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == DIGESTS
 
 
 def test_erased_symbol_exit_and_message_are_golden(clean_env, capsys):

@@ -1,5 +1,6 @@
 """Deterministic seeding and parallel-schedule independence."""
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, WindowKind, analyze,
                       constellation, demap_points, extract_inband, map_bits, measure_ser,
                       papr_db, papr_samples, rcf, ser_errors, window)
-from ofdmclip import crest, simulate
+from ofdmclip import _kernels, crest, simulate
 from ofdmclip.modulation import bits_to_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -194,6 +197,74 @@ def test_ser_grid_equals_per_point_calls(strategy, workers):
     assert counts.tolist() == singles
 
 
+def nudged(values, ulps: int):
+    """``values`` moved ``ulps`` floats up (> 0) or down (< 0)."""
+    out = np.asarray(values, dtype=float)
+    for _ in range(abs(ulps)):
+        out = np.nextafter(out, np.copysign(np.inf, ulps))
+    return out
+
+
+def tie_points(m):
+    """Every level of either axis of order ``m``, every midpoint between
+    neighbouring levels, and 0."""
+    levels = np.unique(np.concatenate(constellation(m).axes))
+    return np.unique(np.concatenate([levels, (levels[1:] + levels[:-1]) / 2, [0.0]]))
+
+
+def assert_error_masks_match(m, bins, labels, z, scales):
+    """The SER error test's mask at each scale is the demapper's verdict."""
+    axes = constellation(m).axes
+    # squares of |rx| over 1.3e154 overflow to inf in both rules alike
+    with np.errstate(over="ignore"):
+        masks = list(simulate._error_masks(bins, labels, axes, z, scales))
+        refs = [_kernels.nearest_labels(bins + s * z, *axes).reshape(labels.shape) != labels
+                for s in scales]
+    assert len(masks) == len(scales)
+    for mask, ref in zip(masks, refs):
+        assert mask.dtype == bool and np.array_equal(mask, ref)
+
+
+@pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+def test_error_masks_at_every_midpoint(m):
+    # every level, midpoint and 0, and the floats up to 2 either side of them,
+    # on both axes, for every transmitted label: as the noiseless bins (the
+    # +inf SNR point, scale 0), as the noise on zero bins (scale 1), and as
+    # noise of 512 on bins of about -512, whose sum rounds to a coarser grid
+    values = np.unique(np.concatenate([nudged(tie_points(m), k) for k in range(-2, 3)]))
+    points = np.tile((values[:, None] + 1j * values).ravel(), (m, 1))
+    labels = np.repeat(np.arange(m, dtype=np.uint8)[:, None], points.shape[1], axis=1)
+    zero, one = np.zeros((m, 1)), np.ones((m, 1))
+    big = np.full_like(points, 512 + 512j)
+    assert_error_masks_match(m, points, labels, np.zeros_like(points), [zero])
+    assert_error_masks_match(m, np.zeros_like(points), labels, points, [one, zero])
+    assert_error_masks_match(m, points - big, labels, big, [one])
+
+
+@pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_error_masks_equal_nearest_labels(m, data):
+    rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    near = st.builds(lambda v, k: float(nudged(v, k)),
+                     st.sampled_from(tie_points(m).tolist()), st.integers(-2, 2))
+    small = st.one_of(near, st.floats(-3, 3))
+    huge = st.floats(-1e170, 1e170)
+    bin_value = st.one_of(small, huge) if data.draw(st.booleans()) else small
+
+    def draw(element, shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(element, min_size=size, max_size=size))).reshape(shape)
+
+    bins = draw(bin_value, (rows, n, 2)) @ [1, 1j]
+    z = draw(st.one_of(small, st.just(0.0)), (rows, n, 2)) @ [1, 1j]
+    labels = draw(st.integers(0, m - 1), (rows, n)).astype(np.uint8)
+    # per row: the +inf SNR point, unit noise, a typical scale, |rx| to 1e170
+    scale = st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 10), st.floats(1e100, 1e170))
+    scales = [draw(scale, (rows, 1)) for _ in range(data.draw(st.integers(1, 3)))]
+    assert_error_masks_match(m, bins, labels, z, scales)
+
+
 def test_config_sequence_rows_equal_single_config_calls():
     cfgs = [ClipConfig(3.0, 3, "none"), ClipConfig(3.0, 3, "cf"), None,
             ClipConfig(3.0, 3, "pw", "flattop", 31), ClipConfig(iterations=0)]
@@ -220,24 +291,28 @@ def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers):
     (OfdmConfig(8192, 8, 4), 2),  # one row of 65536 samples, over the budget
 ], ids=["many_rows", "few_rows", "row_over_budget"])
 def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
+    # the SER error test's temporaries are a fixed number of copies of its
+    # bins, labels and noise, and its -340 dB point runs the nearest_labels
+    # fallback on a whole block
     budget = max(simulate._BLOCK_SAMPLES, ofdm.n_samples)
-    sizes = {"peak_suppress": [], "nearest_labels": []}
+    sizes = {"peak_suppress": [], "_error_masks": [], "nearest_labels": []}
 
-    def spy(name):
-        kernel = getattr(simulate._kernels, name)
+    def spy(module, name, arrays):
+        kernel = getattr(module, name)
 
-        def call(x, *args, **kwargs):
-            sizes[name].append(x.size)
-            return kernel(x, *args, **kwargs)
-        monkeypatch.setattr(simulate._kernels, name, call)
+        def call(*args):
+            sizes[name] += [args[i].size for i in arrays]
+            return kernel(*args)
+        monkeypatch.setattr(module, name, call)
 
-    spy("peak_suppress")
-    spy("nearest_labels")
+    spy(simulate._kernels, "peak_suppress", [0])
+    spy(simulate, "_error_masks", [0, 1, 3])  # bins, labels, noise
+    spy(simulate._kernels, "nearest_labels", [0])
     cfg = ClipConfig(3.0, 2, "pw")
     papr_samples(ofdm, cfg, n_symbols, seed=3)
-    ser_errors(ofdm, cfg, [6.0, np.inf], n_symbols, seed=3)
-    assert sizes["peak_suppress"] and sizes["nearest_labels"]
-    assert max(sizes["peak_suppress"] + sizes["nearest_labels"]) <= budget
+    ser_errors(ofdm, cfg, [-340.0, 6.0, np.inf], n_symbols, seed=3)
+    assert all(sizes.values())
+    assert max(sum(sizes.values(), [])) <= budget
 
 
 def minor_faults() -> int:
