@@ -20,7 +20,7 @@ import numpy as np
 from .crest import ClipConfig, STRATEGIES
 from .metrics import ccdf_point_db, default_threshold_grid, estimate_ccdf
 from .modulation import SUPPORTED_ORDERS
-from .simulate import _check_run, papr_samples, ser_errors
+from .simulate import _check_run, _check_snr, papr_samples, ser_errors
 from .transform import _OVERSAMPLE_CHOICES, OfdmConfig
 from .windows import _KAISER_MAX_BETA, WINDOW_NAMES, WindowKind
 
@@ -158,7 +158,12 @@ def _snr_grid(args, parser) -> np.ndarray:
     if n_steps > MAX_SNR_POINTS:
         parser.error(f"--snr-step {args.snr_step:g} gives {n_steps:.4g} SNR points; "
                      f"at most {MAX_SNR_POINTS} are allowed")
-    return args.snr_start + args.snr_step * np.arange(int(n_steps))
+    grid = args.snr_start + args.snr_step * np.arange(int(n_steps))
+    try:
+        _check_snr(grid)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return grid
 
 
 def _run_ser(args, parser) -> None:

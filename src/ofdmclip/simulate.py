@@ -23,13 +23,14 @@ synthesizes its rows once, runs every crest config on one work copy of them
 transmitted rows, and tests the in-band bins plus each SNR point's scaling
 of the one noise draw against the sent levels, with no demap.  Every
 temporary is block-sized, whatever the run, the configs or N*L.  Serial runs
-(one worker, one CPU or one block) go block by block in this process;
-otherwise the blocks go to one process pool of at most one worker per block
-and per CPU, reassembled in index order.  Only a run that starts the pool
-imports ``concurrent.futures`` and ``multiprocessing``, some 12 ms and 2.5
-MiB of start-up.  Before either, ``_run_blocks`` frees one three-block
-allocation, which raises glibc's malloc thresholds for the process and the
-workers it forks, so no block frees memory the next one faults back in.
+(one worker, one CPU, one block or no ``os.fork``) go block by block in this
+process; otherwise the blocks are cut into one contiguous share per worker,
+each run in a child forked for it (``_fork``, loaded only then) and sent
+back pickled through a pipe, in index order; no run imports
+``concurrent.futures`` or ``multiprocessing``.  Before either,
+``_run_blocks`` frees one three-block allocation, which raises glibc's
+malloc thresholds for the process and the children it forks, so no block
+frees memory the next one faults back in.
 
 Measurements go through the checked rules, ``metrics.papr_db`` and
 ``metrics._mean_power``, so a crest step that zeroes a whole symbol raises
@@ -68,10 +69,11 @@ def _check_run(n_symbols: int, seed: int, workers: int) -> None:
 
 
 def _check_snr(snr_db) -> None:
-    """NaN and -inf have no noise level; +inf is the no-noise mode."""
-    snr = np.asarray(snr_db, dtype=float)
-    if np.isnan(snr).any() or (snr == -np.inf).any():
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    """+inf is the no-noise mode.  Below -3000 dB (NaN and -inf included) a
+    row's noise power, 10**(-snr/10) times its power (at most 2.4), or the
+    receiver's squared distances, up to 37 times that, may overflow."""
+    if not (np.asarray(snr_db, dtype=float) >= -3000.0).all():
+        raise ValueError(f"snr_db must be at least -3000 dB or +inf, got {snr_db}")
 
 
 def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
@@ -206,16 +208,18 @@ def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, where there is one."""
+    """The CPUs this process may run on: its affinity mask, where there is
+    one; 1 without ``os.fork``, so every run stays in this process."""
+    if not hasattr(os, "fork"):
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _block(task):
+def _block(ofdm, clip_cfgs, snr_db, seed, lo, hi):
     """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
     of every crest config, shape (configs, rows), or (with an SNR grid) the
     symbol errors of the one config at every point."""
-    ofdm, clip_cfgs, snr_db, seed, lo, hi = task
     labels = _draw_labels(ofdm, seed, lo, hi)
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     if snr_db is None:
@@ -225,25 +229,29 @@ def _block(task):
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
     _check_run(n_symbols, seed, workers)
-    # blocks are cut for the pool that runs them, at most one worker per CPU
+    # blocks are cut for the children that run them, at most one per CPU
     workers = min(workers, _cpus())
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))
-    tasks = [(ofdm, clip_cfgs, snr_db, seed, lo, min(lo + rows, n_symbols))
-             for lo in range(0, n_symbols, rows)]
     # Freeing an mmapped chunk raises glibc's mmap threshold to its size and
     # the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).  This
     # freed chunk of three blocks lifts both over a block's temporaries, so
     # they stay on the heap instead of being mapped and faulted in again on
-    # every block; forked pool workers inherit the raised thresholds.  A
+    # every block; forked children inherit the raised thresholds.  A
     # peak-window block's heap reaches ~2.1 MiB at 32768 samples, over the
     # 2 MiB trim threshold that two blocks would give.
     np.empty((3, rows, ofdm.n_samples), dtype=np.complex128)
-    if workers == 1 or len(tasks) == 1:
-        return [_block(t) for t in tasks]
-    # imported here, so a run that starts no pool loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_block, tasks))
+
+    def run(lo, hi):
+        return [_block(ofdm, clip_cfgs, snr_db, seed, b, min(b + rows, hi))
+                for b in range(lo, hi, rows)]
+
+    blocks = -(-n_symbols // rows)
+    n = min(workers, blocks)
+    if n == 1:
+        return run(0, n_symbols)
+    from . import _fork  # only a parallel run loads the fork runner
+    cuts = [min(rows * (blocks * k // n), n_symbols) for k in range(n + 1)]
+    return _fork.fork_shares(run, list(zip(cuts, cuts[1:])))
 
 
 def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,

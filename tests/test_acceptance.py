@@ -10,7 +10,6 @@ form is checked where it is exact, on Gaussian bins, in
 ``test_metrics.py::test_nyquist_ccdf_formula_exact_for_gaussian_bins``.
 See README.
 """
-import concurrent.futures
 import math
 import time
 
@@ -21,6 +20,7 @@ from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze, ccdf_po
                       clip, constellation, default_threshold_grid, estimate_ccdf,
                       extract_inband, measure_ser, papr_samples, peak_window_suppress,
                       ser_errors, synthesize, threshold_from_ratio)
+from ofdmclip import _fork
 from ofdmclip.cli import main as cli_main
 
 
@@ -261,14 +261,14 @@ def test_c09_peak_window_construction(rng):
 
 def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypatch):
     t0 = time.perf_counter()
-    pools = []
+    runs = []  # children forked, per parallel run
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_forks(run, shares):
+        runs.append(len(shares))
+        return fork_shares(run, shares)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    fork_shares = _fork.fork_shares
+    monkeypatch.setattr(_fork, "fork_shares", counting_forks)
     cases = {
         "ccdf": ["ccdf", "--symbols", "2000", "--seed", "9"],
         "ser": ["ser", "--symbols", "300", "--seed", "9",
@@ -276,15 +276,15 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypat
         "window-sweep": ["window-sweep", "--symbols", "1000", "--seed", "9"],
     }
     all_ok = True
-    pool_counts = {}
+    fork_runs = {}
     for name, argv in cases.items():
         outputs = []
         for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
             out = str(tmp_path / f"{name}-{tag}.csv")
-            before = len(pools)
+            before = len(runs)
             assert cli_main(argv + ["--workers", workers, "--out", out]) == 0
-            pool_counts[f"{name}-{tag}"] = started = len(pools) - before
-            # a --workers 2 run must really use a pool, or it compares serial with serial
+            fork_runs[f"{name}-{tag}"] = started = len(runs) - before
+            # a --workers 2 run must really fork, or it compares serial with serial
             all_ok = all_ok and started == (workers == "2")
             with open(out, "rb") as fh:
                 outputs.append(fh.read())
@@ -292,7 +292,7 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypat
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
     report(10, "CLI byte determinism across workers", all_ok,
-           f"commands={list(cases)} pools={pool_counts} elapsed={elapsed:.0f}s")
+           f"commands={list(cases)} fork_runs={fork_runs} elapsed={elapsed:.0f}s")
 
 
 def gray_grid_row_errors(m, n, snr_db):

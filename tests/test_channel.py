@@ -106,6 +106,17 @@ def test_clipping_degrades_ser_quick():
     assert clipped.ser >= clean.ser
 
 
+def test_lowest_snr_runs_without_overflow():
+    # -3000 dB is the lowest point accepted; the RuntimeWarning filter makes
+    # any overflow an error, at the largest row power (64-QAM, L = 1) too
+    with pytest.raises(ValueError, match="snr_db"):
+        ser_errors(OfdmConfig(), None, np.nextafter(-3000.0, -np.inf), 10, seed=1)
+    for ofdm in (OfdmConfig(), OfdmConfig(64, 1, 64)):
+        for cfg in (None, ClipConfig(3.0, 2, "pw", "flattop", 31)):
+            assert 0 < ser_errors(ofdm, cfg, -3000.0, 20, seed=1) <= 20 * 64
+    assert np.isfinite(awgn(carrier(), -3000.0, seed=1)).all()
+
+
 def test_invalid_args(monkeypatch):
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
@@ -127,10 +138,13 @@ def test_invalid_args(monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             measure_ser(OfdmConfig(), None, 10.0, 10, seed=1, workers=workers)
-    for snr_db in (float("nan"), float("-inf")):
-        with pytest.raises(ValueError):
+    # -3100 dB: a noise power of 1e310 overflows
+    for snr_db in (float("nan"), float("-inf"), -3100.0):
+        with pytest.raises(ValueError, match="snr_db"):
             measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="snr_db"):
+            ser_errors(OfdmConfig(), None, [10.0, snr_db], 10, seed=1)
+        with pytest.raises(ValueError, match="snr_db"):
             awgn(carrier(), snr_db, seed=1)
     for bad in (np.nan, np.inf, -np.inf):
         signal = carrier()

@@ -152,6 +152,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["ser", "--snr-stop", "inf"],
         ["ser", "--snr-step", "1e-300"],
         ["ser", "--snr-step", "1e-3"],
+        ["ser", "--snr-start", "-3100", "--snr-stop", "-3100"],
         ["window-sweep", "--clip", "cf"],
         ["window-sweep", "--window", "hann"],
         ["nonsense"],
@@ -196,15 +197,17 @@ def test_unsupported_env_mod_is_usage_error(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["ccdf", "ser"])
 def test_erased_symbol_exits_4(tmp_path, capsys, command):
-    # a rect peak window of 255 samples on N*L = 256 zeroes whole rows
+    # a rect peak window of 255 samples on N*L = 256 zeroes whole rows, also
+    # in the children of a 2-worker run
     out = tmp_path / "x.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--clip", "pw", "--window", "rect", "--window-len", "255",
-                     "--symbols", "200", "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "all-zero row" in err and "RuntimeWarning" not in err
-    assert not out.exists()
+    for workers in ("1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--clip", "pw", "--window", "rect", "--window-len", "255",
+                         "--symbols", "200", "--workers", workers, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "all-zero row" in err and "RuntimeWarning" not in err
+        assert not out.exists()
 
 
 def test_seed_out_of_range_is_usage_error(tmp_path):
@@ -277,16 +280,36 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_lowest_snr_point_runs_clean(tmp_path):
+    # -3000 dB runs with every warning an error; at -3100 dB the noise power
+    # overflows, a usage error before anything is simulated
+    def ser_at(snr):
+        return subprocess.run([sys.executable, "-W", "error", "-m", "ofdmclip", "ser",
+                               "--snr-start", snr, "--snr-stop", snr, "--symbols", "2",
+                               "--out", str(tmp_path / f"{snr}.csv")],
+                              env=subprocess_env(), capture_output=True, text=True, timeout=120)
+
+    done = ser_at("-3000")
+    assert done.returncode == 0 and done.stderr == ""
+    done = ser_at("-3100")
+    assert done.returncode == 2 and "snr_db must be at least -3000 dB" in done.stderr
+    assert not (tmp_path / "-3100.csv").exists()
+
+
 def test_no_command_imports_numpy_random(tmp_path):
-    # the engine computes its own Philox words and quantiles, and only a run
-    # that starts a pool imports one: numpy.random's import alone costs
-    # several MiB of peak RSS, numpy.ma's and the pool's about 10 ms each
+    # the engine computes its own Philox words and quantiles, and a parallel
+    # run forks its children itself: numpy.random's import alone costs
+    # several MiB of peak RSS, numpy.ma's and a process pool's about 10 ms
+    # each; no serial run before the last, parallel one loads the fork runner
     tail = ["--symbols", "20", "--out", str(tmp_path / "x.csv")]
     commands = [*(["ccdf", "--clip", clip, *tail] for clip in STRATEGIES),
-                ["ser", "--workers", "1", *tail], ["window-sweep", *tail]]
+                ["ser", "--workers", "1", *tail], ["window-sweep", *tail],
+                ["ser", "--workers", "2", *tail]]
     unused = ["numpy.ma", "numpy.random", "concurrent.futures.process", "multiprocessing"]
     script = ("import sys\nfrom ofdmclip import cli\n"
-              f"for argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
+              f"for argv in {commands!r}:\n"
+              "    assert 'ofdmclip._fork' not in sys.modules\n"
+              "    assert cli.main(argv) == 0\n"
               f"print([name for name in {unused!r} if name in sys.modules])")
     done = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
@@ -311,7 +334,14 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 TiB for an array")
 
-    monkeypatch.setattr(np, "empty", no_memory)
+    def parser_then_no_memory():
+        # building the parser may build a constellation with np.empty, unless
+        # an earlier test cached it; only the run itself finds no memory
+        parser = build_parser()
+        monkeypatch.setattr(np, "empty", no_memory)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", parser_then_no_memory)
     out = tmp_path / "x.csv"
     assert main(["ccdf", "--symbols", "20", "--out", str(out)]) == 4
     monkeypatch.undo()

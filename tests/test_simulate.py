@@ -1,5 +1,4 @@
 """Deterministic seeding and parallel-schedule independence."""
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, WindowKind, analyze,
                       constellation, demap_points, extract_inband, map_bits, measure_ser,
                       papr_db, papr_samples, rcf, ser_errors, window)
-from ofdmclip import _kernels, crest, simulate
+from ofdmclip import _fork, _kernels, crest, simulate
 from ofdmclip.modulation import bits_to_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -407,27 +406,18 @@ def test_pool_workers_do_not_fault_per_block():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Replace ProcessPoolExecutor, where the engine looks it up when it
-    starts a pool, with a stand-in that maps in this process; returns one
-    (max_workers, tasks mapped) entry per pool started."""
+    """Replace the fork runner with a stand-in that runs each share in this
+    process; returns one (children, blocks) entry per parallel run, after
+    checking that its shares follow each other from symbol 0."""
     started = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.tasks = []
-            started.append((max_workers, self.tasks))
+    def in_process(run, shares):
+        results = [run(lo, hi) for lo, hi in shares]
+        assert all(a[1] == b[0] for a, b in zip(shares, shares[1:])) and shares[0][0] == 0
+        started.append((len(shares), sum(map(len, results))))
+        return sum(results, [])
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            self.tasks.extend(tasks)
-            return map(fn, self.tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(_fork, "fork_shares", in_process)
     return started
 
 
@@ -442,18 +432,19 @@ def test_serial_runs_start_no_pool(pools):
 
 
 def test_every_worker_gets_a_block_below_the_budget(pools):
-    # a run of only 6 symbols still gives each of two workers a block
+    # a run of only 6 symbols still gives each of two children a block
     ofdm, cfg = OfdmConfig(1024, 8, 64), ClipConfig(3.0, 2, "pw")
     serial = papr_samples(ofdm, cfg, 6, seed=3, workers=1)
     assert pools == []
     parallel = papr_samples(ofdm, cfg, 6, seed=3, workers=2)
-    assert len(pools) == 1 and pools[0][0] == 2 and len(pools[0][1]) >= 2
+    assert len(pools) == 1 and pools[0][0] == 2 and pools[0][1] >= 2
     assert parallel.tobytes() == serial.tobytes()
 
 
 def test_pool_has_at_most_one_worker_per_cpu(pools):
-    # blocks are cut for the pool that runs them: a million workers asked for
-    # map the same tasks as one per CPU, and a pool that size is never started
+    # blocks are cut for the children that run them: a million workers asked
+    # for run the same shares as one per CPU, never more children than CPUs
+    # or blocks
     cpus = simulate._cpus()
     n_symbols = 2 * cpus + 1
     serial = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=1)
@@ -462,17 +453,98 @@ def test_pool_has_at_most_one_worker_per_cpu(pools):
     assert len(started) == (cpus > 1)
     parallel = papr_samples(OFDM, ClipConfig(), n_symbols, seed=2, workers=10**6)
     assert pools[len(started):] == started
-    assert all(size <= cpus for size, _ in pools)
+    assert all(children <= min(cpus, blocks) for children, blocks in pools)
     assert parallel.tobytes() == per_cpu.tobytes() == serial.tobytes()
 
 
 def test_pool_fits_the_cpus_this_process_may_use(pools, monkeypatch):
-    # pinned to one CPU (taskset -c 0), a 2-worker run starts no pool
+    # pinned to one CPU (taskset -c 0), or where there is no os.fork, a
+    # 2-worker run forks nothing
     serial = papr_samples(OFDM, ClipConfig(), 600, seed=2, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert simulate._cpus() == 1
     assert papr_samples(OFDM, ClipConfig(), 600, seed=2, workers=2).tobytes() == serial.tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert simulate._cpus() == 1
+    assert papr_samples(OFDM, ClipConfig(), 600, seed=2, workers=2).tobytes() == serial.tobytes()
     assert pools == []
+
+
+FORKS = pytest.mark.skipif(simulate._cpus() < 2,
+                           reason="forks two children: needs os.fork and 2 CPUs")
+
+
+def no_children_left():
+    """True when this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@FORKS
+def test_a_childs_error_reaches_the_caller(monkeypatch):
+    # a rect window of 255 samples on N*L = 256 erases rows in both children
+    cfg, ofdm = ClipConfig(3.0, 4, "pw", "rect", 255), OfdmConfig(64, 4, 8)
+    with pytest.raises(ValueError, match="all-zero row"):
+        papr_samples(ofdm, cfg, 200, seed=1, workers=2)
+    with pytest.raises(ValueError, match="all-zero row"):
+        ser_errors(ofdm, cfg, GRID, 200, seed=1, workers=2)
+
+    class Local(Exception):  # defined here, so pickle cannot find it again
+        pass
+
+    def unpicklable(*args):
+        raise Local("cannot be sent")
+
+    monkeypatch.setattr(simulate, "_block", unpicklable)
+    with pytest.raises(RuntimeError, match="Local.*cannot be sent"):
+        papr_samples(OFDM, ClipConfig(), 600, seed=1, workers=2)
+    assert no_children_left()
+
+
+@FORKS
+def test_a_child_that_dies_without_a_result_raises(monkeypatch):
+    parent = os.getpid()
+    block = simulate._block
+
+    def dies(ofdm, clip_cfgs, snr_db, seed, lo, hi):
+        if os.getpid() != parent and lo > 0:
+            os._exit(3)
+        return block(ofdm, clip_cfgs, snr_db, seed, lo, hi)
+
+    monkeypatch.setattr(simulate, "_block", dies)
+    with pytest.raises(RuntimeError, match="ended with code 3 and no result"):
+        papr_samples(OFDM, ClipConfig(), 600, seed=1, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
+    import signal
+    import time
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    monkeypatch.setattr(simulate, "_block", lambda *args: time.sleep(60))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupted):
+            papr_samples(OFDM, ClipConfig(), 600, seed=1, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert no_children_left()
 
 
 def test_clip_loop_runs_no_boundary_check(monkeypatch):
