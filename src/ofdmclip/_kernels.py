@@ -12,6 +12,8 @@ into it once per clip-loop iteration.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -84,16 +86,30 @@ def peak_suppress(x, mag, thresh, w) -> None:
 #
 # ``i_levels[g]`` / ``q_levels[g]`` is the axis level of Gray code g, and the
 # label is (I code << Q bits) | Q code, so the nearest point is the nearest
-# level on each axis.  Squared distances per axis; argmin returns the first
-# minimum, the lower Gray code, so equidistant ties go to the lowest label.
+# level on each axis.  The decision bound between neighbouring levels a < b
+# is their rounded midpoint m, or the float below it when a + b - 2m (its
+# sign exact through math.fsum) is negative, or 0 with b's Gray code the
+# lower: each finite value gets its exactly nearest level, ties to the lower
+# Gray code, and so its nearest label, ties to the lowest.
 # ---------------------------------------------------------------------------
+
+def decision_bounds(levels):
+    """(Gray codes in ascending level order, the bound between each pair of
+    neighbours): x takes the k-th lowest level iff bounds[k - 1] < x <= bounds[k]."""
+    codes = np.argsort(levels)
+    bounds = (levels[codes[:-1]] + levels[codes[1:]]) / 2
+    for k, (lo, hi) in enumerate(zip(codes[:-1], codes[1:])):
+        side = math.fsum((levels[lo], levels[hi], -2 * bounds[k]))
+        if side < 0 or side == 0 and lo > hi:
+            bounds[k] = np.nextafter(bounds[k], -np.inf)
+    return codes, bounds
+
 
 def nearest_labels(points, i_levels, q_levels):
     points = points.ravel()
+    (ci, bi), (cq, bq) = decision_bounds(i_levels), decision_bounds(q_levels)
     q_bits = q_levels.size.bit_length() - 1
-    gi = ((points.real[:, None] - i_levels) ** 2).argmin(axis=1)
-    gq = ((points.imag[:, None] - q_levels) ** 2).argmin(axis=1)
-    return (gi << q_bits) | gq
+    return (ci[np.searchsorted(bi, points.real)] << q_bits) | cq[np.searchsorted(bq, points.imag)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     contract v2, see ``simulate``), so the output is deterministic in
     (seed, stream).  snr_db=inf is the no-noise mode; NaN and -inf raise
     ValueError, and so do an SNR grid, an empty signal, one with NaN or inf
-    samples, and a seed or stream outside [0, 2**64).
+    samples, an SNR so low that the noise variance overflows, and a seed or
+    stream outside [0, 2**64).
     """
     _check_point(snr_db)
     simulate._check_snr(snr_db)
@@ -51,8 +52,12 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     power = _mean_power(signal.ravel(), "SNR")
     if np.isposinf(snr_db):
         return signal.copy()
+    with np.errstate(over="ignore"):  # an overflowing variance is refused just below
+        variance = power / 10.0 ** (snr_db / 10.0)
+    if not np.isfinite(variance):
+        raise ValueError(f"snr_db {snr_db} overflows the noise variance of mean power {power:g}")
     z = simulate._normals(seed, stream, stream + 1, signal.size)
-    return signal + (np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0) * z).reshape(signal.shape)
+    return signal + (np.sqrt(variance / 2.0) * z).reshape(signal.shape)
 
 
 def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,

@@ -5,7 +5,7 @@ the ``OFDMCLIP_`` variable of each of its flags (``--cr-db`` -> ``OFDMCLIP_CR_DB
 as that flag's default; explicit flags beat the environment.  Output is written
 atomically — a failed run never leaves a partial CSV behind.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric or memory error.
+Exit codes: 0 success, 2 usage error, 3 CSV write error, 4 numeric, memory or worker error.
 """
 from __future__ import annotations
 
@@ -133,15 +133,14 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _run_ccdf(args, parser) -> None:
+def _run_ccdf(args, parser):
     ofdm, clip_cfg = _configs(args, parser)
     samples = papr_samples(ofdm, clip_cfg, args.symbols, args.seed, args.workers)
     curve = estimate_ccdf(samples, default_threshold_grid())
     lines = ["threshold_db,ccdf"]
     lines += [f"{t:g},{p:.6e}" for t, p in zip(curve.thresholds_db, curve.exceed_prob)]
-    _write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"mean_papr_db={samples.mean():.6f} ccdf3_papr_db={ccdf_point_db(samples):.6f}")
-    print(f"wrote {args.out} ({curve.n_samples} symbols)")
+    return lines, [f"mean_papr_db={samples.mean():.6f} ccdf3_papr_db={ccdf_point_db(samples):.6f}",
+                   f"wrote {args.out} ({curve.n_samples} symbols)"]
 
 
 def _snr_grid(args, parser) -> np.ndarray:
@@ -166,18 +165,17 @@ def _snr_grid(args, parser) -> np.ndarray:
     return grid
 
 
-def _run_ser(args, parser) -> None:
+def _run_ser(args, parser):
     grid = _snr_grid(args, parser)
     ofdm, clip_cfg = _configs(args, parser)
     errors = ser_errors(ofdm, clip_cfg, grid, args.symbols, args.seed, args.workers)
     sent = args.symbols * ofdm.n_subcarriers
     lines = ["snr_db,symbols,errors,ser"]
     lines += [f"{snr:g},{sent},{e},{e / sent:.6e}" for snr, e in zip(grid, errors.tolist())]
-    _write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({grid.size} SNR points)")
+    return lines, [f"wrote {args.out} ({grid.size} SNR points)"]
 
 
-def _run_window_sweep(args, parser) -> None:
+def _run_window_sweep(args, parser):
     ofdm, clip_cfg = _configs(args, parser)
     clip_cfgs = [replace(clip_cfg, window=replace(clip_cfg.window, name=name))
                  for name in SWEEP_WINDOWS]
@@ -187,12 +185,11 @@ def _run_window_sweep(args, parser) -> None:
     lines = ["window,mean_papr_db,ccdf3_papr_db"]
     lines += [f"{name},{samples.mean():.6f},{ccdf_point_db(samples):.6f}"
               for name, samples in zip(SWEEP_WINDOWS, swept)]
-    print(f"unclipped mean_papr_db={baseline.mean():.6f} "
-          f"ccdf3_papr_db={ccdf_point_db(baseline):.6f}")
-    _write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out}")
+    return lines, [f"unclipped mean_papr_db={baseline.mean():.6f} "
+                   f"ccdf3_papr_db={ccdf_point_db(baseline):.6f}", f"wrote {args.out}"]
 
 
+# each command returns its CSV lines and the lines it prints once they are written
 _COMMANDS = {"ccdf": _run_ccdf, "ser": _run_ser, "window-sweep": _run_window_sweep}
 
 
@@ -204,10 +201,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _COMMANDS[args.command](args, parser)
-    except OSError as exc:
-        print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        lines, notes = _COMMANDS[args.command](args, parser)
+    except OSError as exc:  # nothing is written yet: os.fork or os.pipe failed
+        print(f"worker error: cannot start --workers {args.workers}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -217,6 +214,12 @@ def main(argv=None) -> int:
                             "than there is")
         print(f"memory error: {what}", file=sys.stderr)
         return EXIT_NUMERIC
+    try:
+        _write_atomic(args.out, "\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    print("\n".join(notes))
     return EXIT_OK
 
 

@@ -126,9 +126,9 @@ def map_bits(bits, m: int) -> np.ndarray:
 def demap_points(received, m: int) -> np.ndarray:
     """Hard-decision demap: nearest constellation point, then its bit label.
 
-    The nearest level is taken on each axis, so equidistant ties resolve to
-    the lowest label.  This can differ from an argmin of the summed squared
-    distance ``dre**2 + dim**2`` over all points, whose float sum may round
+    Each axis takes its exactly nearest level, ties to the lower Gray code,
+    so every finite point gets its nearest label, ties to the lowest.  An
+    argmin of the float sums ``dre**2 + dim**2`` over all points can round
     two different distances to a tie.  NaN or inf points raise ValueError.
     """
     const = constellation(m)

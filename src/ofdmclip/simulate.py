@@ -70,8 +70,7 @@ def _check_run(n_symbols: int, seed: int, workers: int) -> None:
 
 def _check_snr(snr_db) -> None:
     """+inf is the no-noise mode.  Below -3000 dB (NaN and -inf included) a
-    row's noise power, 10**(-snr/10) times its power (at most 2.4), or the
-    receiver's squared distances, up to 37 times that, may overflow."""
+    row's noise power, 10**(-snr/10) times its power (at most 2.4), may overflow."""
     if not (np.asarray(snr_db, dtype=float) >= -3000.0).all():
         raise ValueError(f"snr_db must be at least -3000 dB or +inf, got {snr_db}")
 
@@ -147,50 +146,23 @@ def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
 
 
-# A bin is in error iff, on some axis, it lies past the midpoint between its
-# sent level and a neighbour: max(w + b - above, below - b - w) > 0, b the
-# noiseless bin, w its noise, above and below the midpoints per Gray code
-# (+-inf outside).  That is the verdict of nearest_labels' argmin over rounded
-# squared distances (ties to the lower Gray code) wherever no rounding can
-# reach the sign.  Rounding is monotone, so only a tie with the exact nearest
-# level can differ.  With half-gaps h >= 0.15, levels within 1.3 of 0 and
-# |x| < _FAR, the two distances 4*h*|x - mid| apart each round by under
-# 3 * 2**-53 * (_FAR + 1.3)**2: no tie past 1.1e-9 of a midpoint, where the
-# margin, off by under 1e-12, has the right sign.  Bins within _GUARD of a
-# midpoint, and whole points whose noise could reach _FAR, go to nearest_labels.
-_GUARD, _FAR = 1e-8, 1e3
-
-
 def _error_masks(bins, labels, axes, z, scales):
     """For each noise scale s (rows, 1) in ``scales``, the (rows, n) mask of
-    the bins of ``bins + s * z`` whose nearest label, as
-    ``_kernels.nearest_labels(rx, *axes)`` takes it, is not ``labels``."""
-    q_bits = axes[1].size.bit_length() - 1
-    over, under = np.empty((2, 2, *bins.shape))
-    for k, (b, levels, shift) in enumerate(zip((bins.real, bins.imag), axes, (q_bits, 0))):
-        code = ((labels >> shift) & (levels.size - 1)).astype(np.intp)  # gathers faster than uint8
-        order = np.argsort(levels)
-        mid = (levels[order[1:]] + levels[order[:-1]]) / 2
-        above, below = np.empty((2, levels.size))
-        above[order], below[order] = np.append(mid, np.inf), np.append(-np.inf, mid)
-        np.subtract(b, above[code], out=over[k])
-        np.subtract(below[code], b, out=under[k])
-    reach = [max(np.abs(x.real).max(), np.abs(x.imag).max()) for x in (bins, z)]
-    w, m = np.empty_like(over), np.empty_like(over)
+    the bins of ``bins + s * z`` that some axis puts at or below the decision
+    bound under their sent level in ``labels``, or above the one over it."""
+    edges = []
+    for levels, shift in zip(axes, (axes[1].size.bit_length() - 1, 0)):  # Q bits, 0
+        codes, bounds = _kernels.decision_bounds(levels)
+        rank = np.argsort(codes)[(labels >> shift) & (levels.size - 1)]
+        between = np.concatenate(([-np.inf], bounds, [np.inf]))
+        edges.append((between[rank], between[rank + 1]))
+    rx, past = np.empty(bins.shape), np.empty(bins.shape, dtype=bool)
     for s in scales:
-        if not reach[0] + s.max() * reach[1] < _FAR:
-            yield _kernels.nearest_labels(bins + s * z, *axes).reshape(labels.shape) != labels
-            continue
-        np.multiply(s, z.real, out=w[0])
-        np.multiply(s, z.imag, out=w[1])
-        np.add(w, over, out=m)
-        np.subtract(under, w, out=w)
-        margin = np.maximum(m, w, out=m).max(axis=0)
-        err = margin > _GUARD
-        if np.count_nonzero(margin >= -_GUARD) != np.count_nonzero(err):
-            near = np.flatnonzero(np.abs(margin) <= _GUARD)
-            rx = bins.flat[near] + s[near // bins.shape[1], 0] * z.flat[near]
-            err.flat[near] = _kernels.nearest_labels(rx, *axes) != labels.flat[near]
+        err = np.zeros(bins.shape, dtype=bool)
+        for (low, high), b, w in zip(edges, (bins.real, bins.imag), (z.real, z.imag)):
+            np.add(np.multiply(s, w, out=rx), b, out=rx)
+            err |= np.less_equal(rx, low, out=past)
+            err |= np.greater(rx, high, out=past)
         yield err
 
 
@@ -229,6 +201,8 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, hi):
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
     _check_run(n_symbols, seed, workers)
+    if bad := [cfg for cfg in clip_cfgs if not (cfg is None or isinstance(cfg, ClipConfig))]:
+        raise ValueError(f"clip_cfg must be a ClipConfig or None, got {bad[0]!r}")
     # blocks are cut for the children that run them, at most one per CPU
     workers = min(workers, _cpus())
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))

@@ -117,6 +117,14 @@ def test_lowest_snr_runs_without_overflow():
     assert np.isfinite(awgn(carrier(), -3000.0, seed=1)).all()
 
 
+def test_awgn_refuses_an_overflowing_noise_variance():
+    # -3000 dB is accepted, but a signal of mean power 1e10 gives a noise
+    # variance of 1e3010; the RuntimeWarning filter makes any overflow an error
+    with pytest.raises(ValueError, match="snr_db"):
+        awgn(np.full(8, 1e5 + 0j), -3000.0, seed=1)
+    assert np.isfinite(awgn(np.full(8, 1e-5 + 0j), -3000.0, seed=1)).all()
+
+
 def test_invalid_args(monkeypatch):
     with pytest.raises(ValueError):
         measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import stat
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from ofdmclip import (DEFAULT_KAISER_BETA, STRATEGIES, SUPPORTED_ORDERS, WINDOW_NAMES,
                       ClipConfig, OfdmConfig)
-from ofdmclip import cli
+from ofdmclip import cli, simulate
 from ofdmclip.cli import SWEEP_WINDOWS, build_parser, main
 from ofdmclip.transform import _OVERSAMPLE_CHOICES, MAX_ROW_SAMPLES
 
@@ -347,6 +348,22 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     err = capsys.readouterr().err
     assert err == "memory error: Unable to allocate 16.0 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_fork_failure_exits_4_naming_the_workers(tmp_path, capsys, monkeypatch):
+    # os.fork fails as it does at a process limit, so no process is forked
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    out = tmp_path / "x.csv"
+    assert main(["ser", "--symbols", "300", "--workers", "2", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("worker error: cannot start --workers 2: "
+                            f"[Errno {errno.EAGAIN}] Resource temporarily unavailable\n")
     assert not out.exists()
 
 

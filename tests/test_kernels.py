@@ -1,9 +1,13 @@
 """`peak_suppress` against its scalar reference, bit for bit, `nearest_labels`
-against an all-M distance search, and kernel edge cases."""
+against an all-M distance search and an exact per-axis oracle, and kernel
+edge cases."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ofdmclip import SUPPORTED_ORDERS, _kernels, constellation
+from ofdmclip import SUPPORTED_ORDERS, _kernels, constellation, demap_points
+from ofdmclip.modulation import labels_to_bits
 from ofdmclip.windows import window
 
 
@@ -215,6 +219,42 @@ def test_nearest_labels_on_midpoints_and_corners(m):
     assert np.array_equal(gi[bad] + gq[bad], ri[bad] + rq[bad])
     assert ((gi[bad] <= ri[bad]) & (gq[bad] <= rq[bad])).all()
     assert ((gi[bad] < ri[bad]) | (gq[bad] < rq[bad])).all()
+
+
+def exact_codes(values, levels):
+    """Per value, the Gray code of the exactly nearest level (rational
+    distances), ties to the lower code."""
+    exact = [Fraction(level) for level in levels.tolist()]
+    return np.array([min(range(len(exact)), key=lambda g: (abs(Fraction(x) - exact[g]), g))
+                     for x in values.tolist()])
+
+
+def oracle_values(m):
+    """Every level and midpoint of either axis of order ``m`` and 0, the two
+    floats either side of each, the least subnormals and +-1e17 ... +-1e300."""
+    levels = np.unique(np.concatenate(constellation(m).axes))
+    ties = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2, [0.0]])
+    near = [ties]
+    for toward in (np.inf, -np.inf):
+        x = ties
+        for _ in range(2):
+            near.append(x := np.nextafter(x, toward))
+    far = 10.0 ** np.arange(17, 301)
+    return np.unique(np.concatenate(near + [[5e-324, -5e-324], far, -far]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+def test_nearest_labels_and_demap_points_match_exact_oracle(m):
+    c = constellation(m)
+    values = oracle_values(m)
+    i_levels, q_levels = c.axes
+    q_bits = q_levels.size.bit_length() - 1
+    ref = (exact_codes(values, i_levels)[:, None] << q_bits) | exact_codes(values, q_levels)
+    y = values[:, None] + 1j * values
+    assert np.array_equal(_kernels.nearest_labels(y, *c.axes), ref.ravel())
+    bits = labels_to_bits(ref.ravel(), c.bits_per_symbol)
+    assert np.array_equal(demap_points(y.ravel(), m), bits)
 
 
 def test_nearest_labels_tie_prefers_lowest_index():

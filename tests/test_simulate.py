@@ -214,11 +214,9 @@ def tie_points(m):
 def assert_error_masks_match(m, bins, labels, z, scales):
     """The SER error test's mask at each scale is the demapper's verdict."""
     axes = constellation(m).axes
-    # squares of |rx| over 1.3e154 overflow to inf in both rules alike
-    with np.errstate(over="ignore"):
-        masks = list(simulate._error_masks(bins, labels, axes, z, scales))
-        refs = [_kernels.nearest_labels(bins + s * z, *axes).reshape(labels.shape) != labels
-                for s in scales]
+    masks = list(simulate._error_masks(bins, labels, axes, z, scales))
+    refs = [_kernels.nearest_labels(bins + s * z, *axes).reshape(labels.shape) != labels
+            for s in scales]
     assert len(masks) == len(scales)
     for mask, ref in zip(masks, refs):
         assert mask.dtype == bool and np.array_equal(mask, ref)
@@ -264,6 +262,28 @@ def test_error_masks_equal_nearest_labels(m, data):
     assert_error_masks_match(m, bins, labels, z, scales)
 
 
+@pytest.mark.filterwarnings("error")
+def test_noise_alone_decides_the_lowest_snr_points():
+    # the noise outweighs every bin by 1e14 or more, so only its signs set
+    # the decisions and each point counts the same errors; an argmin over
+    # rounded squared distances tied the levels once |rx| reached 1e16
+    counts = ser_errors(OfdmConfig(), ClipConfig(), [-340.0, -320.0, -300.0], 20, seed=1)
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_wrong_config_types_fail_before_any_block(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(simulate, "_block", no_block)
+    for bad in ("cf", 3.0, [None, "cf"], (ClipConfig(), ClipConfig)):
+        with pytest.raises(ValueError, match="clip_cfg"):
+            papr_samples(OFDM, bad, 10, seed=1, workers=2)
+    for bad in ("cf", [ClipConfig()], (None,)):
+        with pytest.raises(ValueError, match="clip_cfg"):
+            ser_errors(OFDM, bad, GRID, 10, seed=1)
+
+
 def test_config_sequence_rows_equal_single_config_calls():
     cfgs = [ClipConfig(3.0, 3, "none"), ClipConfig(3.0, 3, "cf"), None,
             ClipConfig(3.0, 3, "pw", "flattop", 31), ClipConfig(iterations=0)]
@@ -291,10 +311,9 @@ def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers):
 ], ids=["many_rows", "few_rows", "row_over_budget"])
 def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     # the SER error test's temporaries are a fixed number of copies of its
-    # bins, labels and noise, and its -340 dB point runs the nearest_labels
-    # fallback on a whole block
+    # bins, labels and noise
     budget = max(simulate._BLOCK_SAMPLES, ofdm.n_samples)
-    sizes = {"peak_suppress": [], "_error_masks": [], "nearest_labels": []}
+    sizes = {"peak_suppress": [], "_error_masks": []}
 
     def spy(module, name, arrays):
         kernel = getattr(module, name)
@@ -306,7 +325,6 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
 
     spy(simulate._kernels, "peak_suppress", [0])
     spy(simulate, "_error_masks", [0, 1, 3])  # bins, labels, noise
-    spy(simulate._kernels, "nearest_labels", [0])
     cfg = ClipConfig(3.0, 2, "pw")
     papr_samples(ofdm, cfg, n_symbols, seed=3)
     ser_errors(ofdm, cfg, [-340.0, 6.0, np.inf], n_symbols, seed=3)
