@@ -60,11 +60,11 @@ def _peaks(m, a):
     return at[right < v]
 
 
-def peak_suppress(x, mag, thresh, w) -> None:
+def peak_suppress(x, mag, thresh, w) -> int:
     """Peak-window the rows ``x`` (rows, n) in place, given their magnitudes
     as the interior of ``mag`` (rows, n + 2 * pad), whose border columns hold
     -1 and pad >= max(1, min(half, n - 1)), per-row thresholds ``thresh`` > 0
-    and window coefficients ``w`` (odd length)."""
+    and window coefficients ``w`` (odd length).  Returns the number of peaks."""
     n = x.shape[1]
     pad = (mag.shape[1] - n) // 2
     half = (w.size - 1) // 2
@@ -79,6 +79,7 @@ def peak_suppress(x, mag, thresh, w) -> None:
     np.minimum(gain, 1.0, out=gain)
     np.subtract(1.0, gain, out=gain)
     x *= gain
+    return peaks.size
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,14 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    return _clip(*_work_rows(signal, a))
+    x, mag, level = _work_rows(signal, a)
+    _clip(x, mag, level)
+    return x
 
 
-def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no checks."""
+def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> int:
+    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no
+    checks.  Returns the number of samples it clipped."""
     at = np.flatnonzero(mag > level)
     if at.size:
         limit = level.reshape(-1)[at // x.shape[-1]]
@@ -163,7 +166,7 @@ def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
             w[bad] = xo[bad] * scale[bad]
             bad = bad[np.abs(w[bad]) > limit[bad]]
         flat[at] = w
-    return x
+    return at.size
 
 
 def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
@@ -200,8 +203,9 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     """
     _check_window_len(window_len, "window length")
     window_len = int(window_len)
-    return _peak_window(*_work_rows(signal, a, window_len),
-                        _coefficients(as_window_kind(kind), window_len))
+    x, mag, level = _work_rows(signal, a, window_len)
+    _peak_window(x, mag, level, _coefficients(as_window_kind(kind), window_len))
+    return x
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,37 +217,49 @@ def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
     return w
 
 
-def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> int:
     """``peak_window_suppress`` with coefficients ``w`` in place on ``x``, viewed
-    as rows, given |x| in the bordered buffer ``mag`` and levels (..., 1); no checks."""
-    _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, level.reshape(-1), w)
-    return x
+    as rows, given |x| in the bordered buffer ``mag`` and levels (..., 1); no
+    checks.  Returns the number of peaks it windowed."""
+    return _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag,
+                                  level.reshape(-1), w)
 
 
 def _crest_step(x: np.ndarray, mag: np.ndarray | None, level: np.ndarray,
-                cfg: ClipConfig, ofdm: OfdmConfig) -> None:
+                cfg: ClipConfig, ofdm: OfdmConfig) -> int:
     """One iteration of the clip loop in place on ``x``, levels (..., 1): a
     peak window, with |x| written into the loop's bordered buffer ``mag``, or
     a clip and, for ``cf``, the OOB filter, with |x| taken once and freed
-    before the OOB filter's FFTs; no checks."""
+    before the OOB filter's FFTs; no checks.  Returns the number of peaks
+    windowed or samples clipped."""
     if cfg.strategy == "pw":
-        _peak_window(x, _abs_into(x, mag), level, _coefficients(cfg.window, cfg.window_len))
-    else:
-        _clip(x, np.abs(x), level)
-        if cfg.strategy == "cf":
-            _oob_filter(x, ofdm.n_subcarriers)
+        return _peak_window(x, _abs_into(x, mag), level,
+                            _coefficients(cfg.window, cfg.window_len))
+    clipped = _clip(x, np.abs(x), level)
+    if cfg.strategy == "cf":
+        _oob_filter(x, ofdm.n_subcarriers)
+    return clipped
 
 
 def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
     """The clip loop of the Monte Carlo drivers on the rows ``x0``: ``x0`` itself
-    without crest reduction, else one copy with every step run in place on it."""
+    without crest reduction, else one copy with every step run in place on it.
+
+    ``none`` and ``pw`` stop after a step, past the first, that clipped or
+    windowed nothing: every later step would find the same |x| and do nothing
+    again.  A clip of nothing writes nothing.  A peak window of nothing
+    scales x by exactly 1, which may turn a signed zero into +0; scaling
+    again changes nothing more unless a sample was (-0, -0), which no step
+    puts out, so only the first step's input can hold one.  ``cf``'s OOB
+    filter rewrites the low bits on every pass, so it runs every one."""
     if cfg is None or cfg.iterations == 0:
         return x0
     level = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     x = x0.copy()
     mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
-    for _ in range(cfg.iterations):
-        _crest_step(x, mag, level, cfg, ofdm)
+    for it in range(cfg.iterations):
+        if not _crest_step(x, mag, level, cfg, ofdm) and it and cfg.strategy != "cf":
+            break
     return x
 
 

@@ -17,12 +17,15 @@ kernels that may differ in the last bit with the CPU's SIMD dispatch.
 
 One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
-workers) rows, ``workers`` capped at the usable CPUs.  ``_block`` draws and
-synthesizes its rows once, runs every crest config on one work copy of them
-(each crest step in place), and for SER takes one FFT, in place in the
-transmitted rows, and tests the in-band bins plus each SNR point's scaling
-of the one noise draw against the sent levels, with no demap.  Every
-temporary is block-sized, whatever the run, the configs or N*L.  Serial runs
+workers) rows, ``workers`` capped at the usable CPUs.  The data bits are
+drawn once per span of whole blocks (``_span_blocks``), so one Philox pass
+serves ~21 blocks with no temporary larger than a block; only the span's
+labels outlive the draw.  ``_block`` takes its rows' labels and synthesizes them once, runs
+every crest config on one work copy of them (each crest step in place), and
+for SER draws its noise, takes one FFT, in place in the transmitted rows,
+and tests the in-band bins plus each SNR point's scaling of the one noise
+draw against the sent levels, with no demap.  Every temporary is at most
+block-sized, whatever the run, the configs or N*L.  Serial runs
 (one worker, one CPU, one block or no ``os.fork``) go block by block in this
 process; otherwise the blocks are cut into one contiguous share per worker,
 each run in a child forked for it (``_fork``, loaded only then) and sent
@@ -70,9 +73,12 @@ def _check_run(n_symbols: int, seed: int, workers: int) -> None:
 
 def _check_snr(snr_db) -> None:
     """+inf is the no-noise mode.  Below -3000 dB (NaN and -inf included) a
-    row's noise power, 10**(-snr/10) times its power (at most 2.4), may overflow."""
-    if not (np.asarray(snr_db, dtype=float) >= -3000.0).all():
-        raise ValueError(f"snr_db must be at least -3000 dB or +inf, got {snr_db}")
+    row's noise power, 10**(-snr/10) times its power (at most 2.4), may
+    overflow; above +3000 dB, 10**(snr/10) itself overflows past +3082 dB."""
+    snr = np.asarray(snr_db, dtype=float)
+    if not ((snr >= -3000.0) & ((snr <= 3000.0) | np.isposinf(snr))).all():
+        raise ValueError(f"snr_db must be at least -3000 dB and at most +3000 dB, "
+                         f"or +inf, got {snr_db}")
 
 
 def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
@@ -188,11 +194,18 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _block(ofdm, clip_cfgs, snr_db, seed, lo, hi):
-    """One block, symbols lo..hi, drawn and synthesized once: the PAPR rows
-    of every crest config, shape (configs, rows), or (with an SNR grid) the
-    symbol errors of the one config at every point."""
-    labels = _draw_labels(ofdm, seed, lo, hi)
+def _span_blocks(ofdm: OfdmConfig) -> int:
+    """Blocks per bit draw: the most whose unpacked bits, N*k bytes a row, fit
+    in one block's complex rows, 16*N*L bytes a row; at least one."""
+    n_bits = ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
+    return max(1, 16 * ofdm.n_samples // n_bits)
+
+
+def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
+    """One block, the symbols lo, lo+1, ... with constellation ``labels``,
+    synthesized once: the PAPR rows of every crest config, shape (configs,
+    rows), or (with an SNR grid) the symbol errors of the one config at every
+    point."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     if snr_db is None:
         return np.stack([papr_db(_rcf_rows(x, cfg, ofdm)) for cfg in clip_cfgs])
@@ -215,9 +228,15 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     # 2 MiB trim threshold that two blocks would give.
     np.empty((3, rows, ofdm.n_samples), dtype=np.complex128)
 
+    span = rows * _span_blocks(ofdm)
+
     def run(lo, hi):
-        return [_block(ofdm, clip_cfgs, snr_db, seed, b, min(b + rows, hi))
-                for b in range(lo, hi, rows)]
+        out = []
+        for s in range(lo, hi, span):
+            labels = _draw_labels(ofdm, seed, s, min(s + span, hi))
+            out += [_block(ofdm, clip_cfgs, snr_db, seed, b, labels[b - s:b - s + rows])
+                    for b in range(s, min(s + span, hi), rows)]
+        return out
 
     blocks = -(-n_symbols // rows)
     n = min(workers, blocks)

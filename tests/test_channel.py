@@ -115,6 +115,12 @@ def test_lowest_snr_runs_without_overflow():
         for cfg in (None, ClipConfig(3.0, 2, "pw", "flattop", 31)):
             assert 0 < ser_errors(ofdm, cfg, -3000.0, 20, seed=1) <= 20 * 64
     assert np.isfinite(awgn(carrier(), -3000.0, seed=1)).all()
+    # +3000 dB is the highest finite point accepted: 10**(snr/10) overflows
+    # past +3082 dB
+    with pytest.raises(ValueError, match="snr_db"):
+        ser_errors(OfdmConfig(), None, np.nextafter(3000.0, np.inf), 10, seed=1)
+    assert ser_errors(OfdmConfig(64, 1, 64), None, [3000.0, np.inf], 20, seed=1).tolist() == [0, 0]
+    assert np.isfinite(awgn(carrier(), 3000.0, seed=1)).all()
 
 
 def test_awgn_refuses_an_overflowing_noise_variance():
@@ -146,8 +152,8 @@ def test_invalid_args(monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             measure_ser(OfdmConfig(), None, 10.0, 10, seed=1, workers=workers)
-    # -3100 dB: a noise power of 1e310 overflows
-    for snr_db in (float("nan"), float("-inf"), -3100.0):
+    # -3100 dB: a noise power of 1e310 overflows; +5000 dB: 10**(snr/10) does
+    for snr_db in (float("nan"), float("-inf"), -3100.0, 5000.0):
         with pytest.raises(ValueError, match="snr_db"):
             measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
         with pytest.raises(ValueError, match="snr_db"):

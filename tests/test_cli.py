@@ -154,6 +154,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["ser", "--snr-step", "1e-300"],
         ["ser", "--snr-step", "1e-3"],
         ["ser", "--snr-start", "-3100", "--snr-stop", "-3100"],
+        ["ser", "--snr-start", "5000", "--snr-stop", "5000"],
         ["window-sweep", "--clip", "cf"],
         ["window-sweep", "--window", "hann"],
         ["nonsense"],
@@ -282,8 +283,9 @@ def test_module_entry_point_exit_codes(tmp_path):
 
 
 def test_lowest_snr_point_runs_clean(tmp_path):
-    # -3000 dB runs with every warning an error; at -3100 dB the noise power
-    # overflows, a usage error before anything is simulated
+    # -3000 and +3000 dB run with every warning an error; at -3100 dB the
+    # noise power overflows and at +5000 dB 10**(snr/10) does, usage errors
+    # before anything is simulated
     def ser_at(snr):
         return subprocess.run([sys.executable, "-W", "error", "-m", "ofdmclip", "ser",
                                "--snr-start", snr, "--snr-stop", snr, "--symbols", "2",
@@ -295,6 +297,11 @@ def test_lowest_snr_point_runs_clean(tmp_path):
     done = ser_at("-3100")
     assert done.returncode == 2 and "snr_db must be at least -3000 dB" in done.stderr
     assert not (tmp_path / "-3100.csv").exists()
+    done = ser_at("3000")
+    assert done.returncode == 0 and done.stderr == ""
+    done = ser_at("5000")
+    assert done.returncode == 2 and "at most +3000 dB" in done.stderr
+    assert not (tmp_path / "5000.csv").exists()
 
 
 def test_no_command_imports_numpy_random(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
                       constellation, embed_spectrum, oob_filter, papr_db,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
+from ofdmclip import crest
 from ofdmclip.crest import _clip, _work_rows
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -128,13 +129,15 @@ def test_clip_rejects_nonpositive_level(rng):
 def clip_oracle(x, a):
     """Per-sample reference for ``clip``: a sample above its row's level a is
     scaled by a/|x|, and the scale is stepped down one float at a time until
-    np.abs puts the sample at or under a.  Returns (y, number of steps)."""
+    np.abs puts the sample at or under a.  Returns (y, number of steps,
+    number of samples clipped)."""
     levels = np.broadcast_to(np.asarray(a, dtype=float), x.shape[:-1])
     y = x.copy()
-    steps = 0
+    steps = clipped = 0
     for idx in np.ndindex(x.shape):
         level, mag = levels[idx[:-1]], np.abs(x[idx])
         if mag > level:
+            clipped += 1
             scale = level / mag
             w = x[idx] * scale
             while np.abs(w) > level:
@@ -142,7 +145,7 @@ def clip_oracle(x, a):
                 w = x[idx] * scale
                 steps += 1
             y[idx] = w
-    return y, steps
+    return y, steps, clipped
 
 
 def test_clip_matches_per_sample_oracle(rng):
@@ -159,7 +162,7 @@ def test_clip_matches_per_sample_oracle(rng):
     }
     steps = 0
     for name, (x, a) in cases.items():
-        ref, fired = clip_oracle(x, a)
+        ref, fired, clipped = clip_oracle(x, a)
         steps += fired
         assert clip(x, a).tobytes() == ref.tobytes(), name
         # a view of every other entry along the first axis, as input
@@ -168,7 +171,7 @@ def test_clip_matches_per_sample_oracle(rng):
         assert clip(strided, a).tobytes() == ref.tobytes(), name
         # the private step, in place on the boundary check's copy
         inplace, mag, level = _work_rows(x, a)
-        assert _clip(inplace, mag, level) is inplace
+        assert _clip(inplace, mag, level) == clipped
         assert inplace.tobytes() == ref.tobytes(), name
     assert steps > 0  # the nudge was exercised
 
@@ -419,6 +422,44 @@ def test_rcf_iteration_trend(rng):
     p0, p1, p5 = mean_papr(0), mean_papr(1), mean_papr(5)
     assert p0 - p1 > 0.3
     assert p1 - p5 > 0.3
+
+
+@pytest.mark.parametrize("strategy, name", [("none", "hann")]
+                         + [("pw", name) for name in WINDOW_NAMES])
+def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
+    # none and pw leave the clip loop after a step, past the first, that did
+    # nothing; the rows are byte-equal to K steps run unconditionally.  The
+    # flat rows have no peak and (-0, -0) samples: a first step of nothing
+    # turns them into (+0, -0), a second into (+0, +0).
+    flat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (3, OFDM.n_samples)))
+    flat[:, ::9] = complex(-0.0, -0.0)
+    blocks = (synthesize(random_symbols(rng, 40, OFDM), OFDM.oversample), flat)
+    steps = []
+
+    def counted(*args, _step=crest._crest_step):
+        steps.append(1)
+        return _step(*args)
+
+    asked = 0
+    for x0 in blocks:
+        before = x0.tobytes()
+        for cr_db in range(-3, 10):
+            cfg = ClipConfig(cr_db, 8, strategy, name, 9)
+            level = threshold_from_ratio(x0, cr_db)[:, None]
+            x = x0.copy()
+            mag = crest._border(x, cfg.window_len) if strategy == "pw" else None
+            every = [x0.tobytes()]
+            for _ in range(8):
+                crest._crest_step(x, mag, level, cfg, OFDM)
+                every.append(x.tobytes())
+            with monkeypatch.context() as m:
+                m.setattr(crest, "_crest_step", counted)
+                for k in range(9):
+                    got = crest._rcf_rows(x0, ClipConfig(cr_db, k, strategy, name, 9), OFDM)
+                    assert got.tobytes() == every[k], (cr_db, k)
+                    asked += k
+        assert x0.tobytes() == before
+    assert 0 < len(steps) < asked  # the loop did leave early
 
 
 def test_rcf_pw_strategy_reduces_papr(rng):

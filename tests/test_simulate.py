@@ -293,13 +293,19 @@ def test_config_sequence_rows_equal_single_config_calls():
         assert row.tobytes() == papr_samples(OFDM, cfg, 1100, seed=6).tobytes()
 
 
-@pytest.mark.parametrize("block, workers", [(1, 1), (3, 2), (7, 3), (256, 2)])
-def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers):
-    # block in rows; the engine's budget is in samples
+@pytest.mark.parametrize("block, workers, span", [
+    (1, 1, None), (3, 2, None), (7, 3, None), (256, 2, None),
+    (3, 1, 1), (3, 2, 1), (3, 1, 10**9), (3, 2, 10**9),
+], ids=["1-1", "3-2", "7-3", "256-2", "3-1-span1", "3-2-span1", "3-1-share", "3-2-share"])
+def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers, span):
+    # block in rows, the engine's budget is in samples; span in blocks per
+    # bit draw: one, or every block of a share (None keeps the engine's)
     cfgs = (None, ClipConfig(3.0, 2, "cf"), ClipConfig(3.0, 2, "pw"))
     papr = papr_samples(OFDM, cfgs, 300, seed=9)
     ser = ser_errors(OFDM, cfgs[2], GRID, 300, seed=9)
     monkeypatch.setattr(simulate, "_BLOCK_SAMPLES", block * OFDM.n_samples)
+    if span is not None:
+        monkeypatch.setattr(simulate, "_span_blocks", lambda ofdm: span)
     assert papr_samples(OFDM, cfgs, 300, seed=9, workers=workers).tobytes() == papr.tobytes()
     assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9, workers=workers).tolist() == ser.tolist()
 
@@ -325,11 +331,36 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
 
     spy(simulate._kernels, "peak_suppress", [0])
     spy(simulate, "_error_masks", [0, 1, 3])  # bins, labels, noise
+    # a bit draw's largest temporary, its unpacked bits, one byte each, fits
+    # in one block's complex rows
+    bits_to_labels = simulate.bits_to_labels
+    unpacked = []
+
+    def labels_of(bits, k):
+        unpacked.append(bits.nbytes)
+        return bits_to_labels(bits, k)
+    monkeypatch.setattr(simulate, "bits_to_labels", labels_of)
     cfg = ClipConfig(3.0, 2, "pw")
     papr_samples(ofdm, cfg, n_symbols, seed=3)
     ser_errors(ofdm, cfg, [-340.0, 6.0, np.inf], n_symbols, seed=3)
-    assert all(sizes.values())
+    assert all(sizes.values()) and unpacked
     assert max(sum(sizes.values(), [])) <= budget
+    assert max(unpacked) <= budget * np.dtype(np.complex128).itemsize
+
+
+def test_bits_are_drawn_per_span_of_blocks(monkeypatch):
+    # N=1024, L=8, 64-QAM: 4 rows a block, 125 blocks, 21 blocks a span;
+    # one Philox pass per block took 125
+    words = simulate._words
+    kinds = []
+
+    def spy(seed, kind, lo, hi, n):
+        kinds.append(kind)
+        return words(seed, kind, lo, hi, n)
+
+    monkeypatch.setattr(simulate, "_words", spy)
+    papr_samples(OfdmConfig(1024, 8, 64), None, 500, seed=4)
+    assert 0 < kinds.count(simulate._BITS_STREAM) <= 6
 
 
 def minor_faults() -> int:
@@ -528,10 +559,10 @@ def test_a_child_that_dies_without_a_result_raises(monkeypatch):
     parent = os.getpid()
     block = simulate._block
 
-    def dies(ofdm, clip_cfgs, snr_db, seed, lo, hi):
+    def dies(ofdm, clip_cfgs, snr_db, seed, lo, labels):
         if os.getpid() != parent and lo > 0:
             os._exit(3)
-        return block(ofdm, clip_cfgs, snr_db, seed, lo, hi)
+        return block(ofdm, clip_cfgs, snr_db, seed, lo, labels)
 
     monkeypatch.setattr(simulate, "_block", dies)
     with pytest.raises(RuntimeError, match="ended with code 3 and no result"):
