@@ -145,14 +145,11 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    x, mag, level = _work_rows(signal, a)
-    _clip(x, mag, level)
-    return x
+    return _clip(*_work_rows(signal, a))
 
 
-def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> int:
-    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no
-    checks.  Returns the number of samples it clipped."""
+def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no checks."""
     at = np.flatnonzero(mag > level)
     if at.size:
         limit = level.reshape(-1)[at // x.shape[-1]]
@@ -166,7 +163,7 @@ def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> int:
             w[bad] = xo[bad] * scale[bad]
             bad = bad[np.abs(w[bad]) > limit[bad]]
         flat[at] = w
-    return at.size
+    return x
 
 
 def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
@@ -226,39 +223,40 @@ def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarra
 
 
 def _crest_step(x: np.ndarray, mag: np.ndarray | None, level: np.ndarray,
-                cfg: ClipConfig, ofdm: OfdmConfig) -> int:
+                cfg: ClipConfig, ofdm: OfdmConfig) -> int | None:
     """One iteration of the clip loop in place on ``x``, levels (..., 1): a
     peak window, with |x| written into the loop's bordered buffer ``mag``, or
     a clip and, for ``cf``, the OOB filter, with |x| taken once and freed
     before the OOB filter's FFTs; no checks.  Returns the number of peaks
-    windowed or samples clipped."""
+    windowed, or None after a clip."""
     if cfg.strategy == "pw":
         return _peak_window(x, _abs_into(x, mag), level,
                             _coefficients(cfg.window, cfg.window_len))
-    clipped = _clip(x, np.abs(x), level)
+    _clip(x, np.abs(x), level)
     if cfg.strategy == "cf":
         _oob_filter(x, ofdm.n_subcarriers)
-    return clipped
+    return None
 
 
 def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
     """The clip loop of the Monte Carlo drivers on the rows ``x0``: ``x0`` itself
     without crest reduction, else one copy with every step run in place on it.
 
-    ``none`` and ``pw`` stop after a step, past the first, that clipped or
-    windowed nothing: every later step would find the same |x| and do nothing
-    again.  A clip of nothing writes nothing.  A peak window of nothing
-    scales x by exactly 1, which may turn a signed zero into +0; scaling
-    again changes nothing more unless a sample was (-0, -0), which no step
-    puts out, so only the first step's input can hold one.  ``cf``'s OOB
-    filter rewrites the low bits on every pass, so it runs every one."""
+    A hard clip is a bit-exact no-op on its own output (see ``clip``), so
+    ``none`` runs one step whatever the iterations.  ``pw`` stops after a
+    step, past the first, that windowed no peak: every later step would find
+    the same |x| and window nothing again.  A peak window of nothing scales
+    x by exactly 1, which may turn a signed zero into +0; scaling again
+    changes nothing more unless a sample was (-0, -0), which no step puts
+    out, so only the first step's input can hold one.  ``cf``'s OOB filter
+    rewrites the low bits on every pass, so it runs every one."""
     if cfg is None or cfg.iterations == 0:
         return x0
     level = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     x = x0.copy()
     mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
-    for it in range(cfg.iterations):
-        if not _crest_step(x, mag, level, cfg, ofdm) and it and cfg.strategy != "cf":
+    for it in range(1 if cfg.strategy == "none" else cfg.iterations):
+        if _crest_step(x, mag, level, cfg, ofdm) == 0 and it:
             break
     return x
 

@@ -233,9 +233,11 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     def run(lo, hi):
         out = []
         for s in range(lo, hi, span):
-            labels = _draw_labels(ofdm, seed, s, min(s + span, hi))
+            e = min(s + span, hi)
+            labels = _draw_labels(ofdm, seed, s, e)
             out += [_block(ofdm, clip_cfgs, snr_db, seed, b, labels[b - s:b - s + rows])
-                    for b in range(s, min(s + span, hi), rows)]
+                    for b in range(s, e, rows)]
+            del labels  # freed before the next span's draw
         return out
 
     blocks = -(-n_symbols // rows)

@@ -312,13 +312,22 @@ def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers, 
 
 @pytest.mark.parametrize("ofdm, n_symbols", [
     (OFDM, 300),
+    (OFDM, 5000),  # two full spans of 2048 rows and a part
     (OfdmConfig(1024, 8, 64), 6),
     (OfdmConfig(8192, 8, 4), 2),  # one row of 65536 samples, over the budget
-], ids=["many_rows", "few_rows", "row_over_budget"])
+], ids=["many_rows", "many_spans", "few_rows", "row_over_budget"])
 def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     # the SER error test's temporaries are a fixed number of copies of its
     # bins, labels and noise
     budget = max(simulate._BLOCK_SAMPLES, ofdm.n_samples)
+    # a span is the most blocks whose unpacked bits, one byte each, fit in
+    # one block's complex rows
+    rows = max(1, min(simulate._BLOCK_SAMPLES // ofdm.n_samples, n_symbols))
+    block_bytes = rows * ofdm.n_samples * np.dtype(np.complex128).itemsize
+    row_bits = ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
+    span = simulate._span_blocks(ofdm)
+    assert span > 1
+    assert span * rows * row_bits <= block_bytes < (span + 1) * rows * row_bits
     sizes = {"peak_suppress": [], "_error_masks": []}
 
     def spy(module, name, arrays):
@@ -331,8 +340,7 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
 
     spy(simulate._kernels, "peak_suppress", [0])
     spy(simulate, "_error_masks", [0, 1, 3])  # bins, labels, noise
-    # a bit draw's largest temporary, its unpacked bits, one byte each, fits
-    # in one block's complex rows
+    # a bit draw's largest temporary is its unpacked bits
     bits_to_labels = simulate.bits_to_labels
     unpacked = []
 
@@ -345,7 +353,9 @@ def test_kernels_get_at_most_one_block(monkeypatch, ofdm, n_symbols):
     ser_errors(ofdm, cfg, [-340.0, 6.0, np.inf], n_symbols, seed=3)
     assert all(sizes.values()) and unpacked
     assert max(sum(sizes.values(), [])) <= budget
-    assert max(unpacked) <= budget * np.dtype(np.complex128).itemsize
+    assert max(unpacked) <= block_bytes
+    if n_symbols > 2 * span * rows:
+        assert max(unpacked) == span * rows * row_bits  # a full span was drawn
 
 
 def test_bits_are_drawn_per_span_of_blocks(monkeypatch):
