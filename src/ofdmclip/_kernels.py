@@ -7,8 +7,9 @@ time (see ``simulate``).  ``peak_suppress`` scales its input in place.
 
 The caller passes the magnitudes in, as the interior of a bordered buffer
 (rows, n + 2 * pad) whose pad border columns hold -1: the row ends.
-``crest`` keeps one such buffer per crest config and block, and writes |x|
-into it once per clip-loop iteration.
+``crest`` keeps one such buffer per crest config and block and writes |x|
+into it once; ``peak_suppress`` rewrites the magnitudes of the samples it
+scales, so the interior stays |x| from one clip-loop iteration to the next.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ import numpy as np
 # only its first sample, and only if the sample after the plateau is lower
 # or the plateau reaches the row end), and add depth * w[d] at sample
 # peak - half + d for each peak with depth 1 - a/|x|.  The envelope b is
-# capped at 1 and the gain 1 - min(b, 1) scales every sample.
+# capped at 1 and the gain 1 - min(b, 1) scales the samples where b != 0;
+# the others keep their exact bits, signed zeros included.
 #
 # The search works on flat indices into the bordered magnitudes: only the
 # samples above their row threshold are gathered, with their neighbours at
@@ -38,7 +40,13 @@ import numpy as np
 # term.  Its input runs over the window offsets d from W-1 down to 0, then
 # over the peaks in ascending order: every bin receives its peaks in
 # ascending peak index, and the float sums equal those of a scalar loop that
-# adds one whole window per peak, peak by peak.
+# adds one whole window per peak, peak by peak.  With the border columns of
+# b cleared, its non-zero terms are the samples to scale: only they are
+# gathered, scaled, written back and given a new magnitude.  A sample at
+# bordered flat index i of row r sits at flat index i - pad * (2 * r + 1) in
+# x; the one index array is turned into x's and back in place, so while the
+# gathered samples are alive the scatter holds only them, their gains and
+# that array.
 # ---------------------------------------------------------------------------
 
 
@@ -61,24 +69,44 @@ def _peaks(m, a):
 
 
 def peak_suppress(x, mag, thresh, w) -> int:
-    """Peak-window the rows ``x`` (rows, n) in place, given their magnitudes
-    as the interior of ``mag`` (rows, n + 2 * pad), whose border columns hold
-    -1 and pad >= max(1, min(half, n - 1)), per-row thresholds ``thresh`` > 0
-    and window coefficients ``w`` (odd length).  Returns the number of peaks."""
+    """Peak-window the C-contiguous rows ``x`` (rows, n) in place, given
+    their magnitudes as the interior of ``mag`` (rows, n + 2 * pad), whose
+    border columns hold -1 and pad >= max(1, min(half, n - 1)), per-row
+    thresholds ``thresh`` > 0 and window coefficients ``w`` (odd length).
+    Rewrites the magnitudes of the samples it scales, so the interior of
+    ``mag`` stays |x|.  Returns the number of peaks."""
     n = x.shape[1]
-    pad = (mag.shape[1] - n) // 2
+    width = mag.shape[1]
+    pad = (width - n) // 2
     half = (w.size - 1) // 2
     reach = min(half, pad)  # no shift past it lands inside the row
     peaks = _peaks(mag, thresh)
-    depth = 1.0 - thresh[peaks // mag.shape[1]] / mag.reshape(-1)[peaks]
+    if not peaks.size:
+        return 0
+    depth = 1.0 - thresh[peaks // width] / mag.reshape(-1)[peaks]
     shift = np.arange(reach, -reach - 1, -1)[:, None]  # d - half, d descending
     b = np.bincount((peaks + shift).ravel(), (depth * w[half + shift]).ravel(),
-                    minlength=mag.size)
-    # with no peak at all, np.bincount counts in int64
-    gain = b.astype(float, copy=False).reshape(mag.shape)[:, pad:pad + n]
+                    minlength=mag.size).reshape(mag.shape)
+    b[:, :pad] = 0.0
+    b[:, pad + n:] = 0.0
+    at = np.flatnonzero(b != 0.0)  # a bool mask: flatnonzero on floats is far slower
+    gain = b.reshape(-1)[at]
+    del b
     np.minimum(gain, 1.0, out=gain)
     np.subtract(1.0, gain, out=gain)
-    x *= gain
+    row = at // width
+    at -= np.add(np.multiply(row, 2 * pad, out=row), pad, out=row)  # now flat indices in x
+    del row
+    flat = x.reshape(-1)
+    y = flat[at]
+    y *= gain
+    flat[at] = y
+    np.abs(y, out=gain)
+    del y
+    row = at // n
+    at += np.add(np.multiply(row, 2 * pad, out=row), pad, out=row)  # bordered indices again
+    del row
+    mag.reshape(-1)[at] = gain
     return peaks.size
 
 

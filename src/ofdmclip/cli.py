@@ -100,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="peak-window PAPR comparison across the five named windows")
     _add_common(p, "window_sweep.csv", with_strategy=False)
     p.set_defaults(clip="pw", window=SWEEP_WINDOWS[0])
+    for p in sub.choices.values():
+        # a usage error found after parsing prints the command's own usage line
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lines, notes = _COMMANDS[args.command](args, parser)
+        lines, notes = _COMMANDS[args.command](args, args.command_parser)
     except OSError as exc:  # nothing is written yet: os.fork or os.pipe failed
         print(f"worker error: cannot start --workers {args.workers}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

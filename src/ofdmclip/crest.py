@@ -24,8 +24,11 @@ after the loop, by the PAPR or power measurement.
 
 The peak window reads |x| from a float buffer whose rows carry -1 border
 columns (``_border``), so the peak search needs no row-end bookkeeping.  A
-``pw`` loop allocates that buffer once per block and writes |x| into its
-interior on every iteration; ``cf`` and ``none`` take a plain ``np.abs``.
+``pw`` loop allocates that buffer once per block and crest config and writes
+|x| into its interior once, before the first iteration; each peak window
+rescales only the samples its windows reach and rewrites their magnitudes
+there.  The level comes from the same magnitudes, and ``cf`` and ``none``
+clip first with the plain ``np.abs`` the level was taken from.
 """
 from __future__ import annotations
 
@@ -128,11 +131,17 @@ def _border(x: np.ndarray, window_len: int) -> np.ndarray:
     return np.full((math.prod(x.shape[:-1]), n + 2 * pad), -1.0)
 
 
+def _interior(mag: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) interior of the bordered buffer ``mag``, or all of a plain
+    (rows, n) one."""
+    pad = (mag.shape[1] - n) // 2
+    return mag[:, pad:pad + n]
+
+
 def _abs_into(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """np.abs(x) into the interior of the bordered buffer ``mag``; returns mag."""
     n = x.shape[-1]
-    pad = (mag.shape[1] - n) // 2
-    np.abs(x.reshape(mag.shape[0], n), out=mag[:, pad:pad + n])
+    np.abs(x.reshape(mag.shape[0], n), out=_interior(mag, n))
     return mag
 
 
@@ -196,7 +205,8 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     peak, are summed into an envelope b which is capped at 1; the output is
     x * (1 - min(b, 1)).  An isolated peak therefore lands exactly on |y| = a,
     and for non-negative windows |y| <= |x| everywhere (flattop's negative
-    lobes may locally amplify).
+    lobes may locally amplify).  Samples whose envelope is 0 come back
+    unchanged, bit for bit.
     """
     _check_window_len(window_len, "window length")
     window_len = int(window_len)
@@ -216,26 +226,38 @@ def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
 
 def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> int:
     """``peak_window_suppress`` with coefficients ``w`` in place on ``x``, viewed
-    as rows, given |x| in the bordered buffer ``mag`` and levels (..., 1); no
-    checks.  Returns the number of peaks it windowed."""
+    as rows, given |x| in the bordered buffer ``mag``, which it keeps equal to
+    |x|, and levels (..., 1); no checks.  Returns the number of peaks it
+    windowed."""
     return _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag,
                                   level.reshape(-1), w)
 
 
 def _crest_step(x: np.ndarray, mag: np.ndarray | None, level: np.ndarray,
                 cfg: ClipConfig, ofdm: OfdmConfig) -> int | None:
-    """One iteration of the clip loop in place on ``x``, levels (..., 1): a
-    peak window, with |x| written into the loop's bordered buffer ``mag``, or
-    a clip and, for ``cf``, the OOB filter, with |x| taken once and freed
-    before the OOB filter's FFTs; no checks.  Returns the number of peaks
-    windowed, or None after a clip."""
+    """One iteration of the clip loop in place on the rows ``x``, levels
+    (rows, 1), given |x| in ``mag``; no checks.  ``pw``: a peak window, with
+    ``mag`` the loop's bordered buffer, kept equal to |x|.  ``none`` and
+    ``cf``: a clip and, for ``cf``, the OOB filter, with ``mag`` a plain
+    np.abs(x), stale after the step, or None to take one here.  Returns the
+    number of peaks windowed, or None after a clip."""
     if cfg.strategy == "pw":
-        return _peak_window(x, _abs_into(x, mag), level,
-                            _coefficients(cfg.window, cfg.window_len))
-    _clip(x, np.abs(x), level)
+        return _peak_window(x, mag, level, _coefficients(cfg.window, cfg.window_len))
+    _clip(x, np.abs(x) if mag is None else mag, level)
     if cfg.strategy == "cf":
         _oob_filter(x, ofdm.n_subcarriers)
     return None
+
+
+def _loop_start(x: np.ndarray, cfg: ClipConfig) -> tuple[np.ndarray, np.ndarray]:
+    """|x| of the rows ``x`` for the clip loop's first step, in a bordered
+    buffer for ``pw``, and the levels (rows, 1) taken from those magnitudes:
+    threshold_from_ratio sees np.abs(x) with every check it makes on x."""
+    if cfg.strategy == "pw":
+        mag = _abs_into(x, _border(x, cfg.window_len))
+    else:
+        mag = np.abs(x)
+    return mag, threshold_from_ratio(_interior(mag, x.shape[-1]), cfg.clip_ratio_db)[:, None]
 
 
 def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
@@ -244,20 +266,18 @@ def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.nd
 
     A hard clip is a bit-exact no-op on its own output (see ``clip``), so
     ``none`` runs one step whatever the iterations.  ``pw`` stops after a
-    step, past the first, that windowed no peak: every later step would find
-    the same |x| and window nothing again.  A peak window of nothing scales
-    x by exactly 1, which may turn a signed zero into +0; scaling again
-    changes nothing more unless a sample was (-0, -0), which no step puts
-    out, so only the first step's input can hold one.  ``cf``'s OOB filter
-    rewrites the low bits on every pass, so it runs every one."""
+    step that windowed no peak: such a step changes no bit, and every later
+    one would find the same |x| and window nothing again.  ``cf``'s OOB
+    filter rewrites the low bits on every pass, so it runs every one."""
     if cfg is None or cfg.iterations == 0:
         return x0
-    level = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
+    mag, level = _loop_start(x0, cfg)
     x = x0.copy()
-    mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
-    for it in range(1 if cfg.strategy == "none" else cfg.iterations):
-        if _crest_step(x, mag, level, cfg, ofdm) == 0 and it:
+    for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
+        if _crest_step(x, mag, level, cfg, ofdm) == 0:
             break
+        if cfg.strategy == "cf":
+            mag = None  # the OOB filter rewrote every sample
     return x
 
 
@@ -278,12 +298,14 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     papr_before = papr_db(x)
     if cfg.iterations == 0:
         return x, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
-    level = np.array([threshold_from_ratio(x, cfg.clip_ratio_db)])
-    mag = _border(x, cfg.window_len) if cfg.strategy == "pw" else None
+    rows = x.reshape(1, -1)  # a view: the steps run in place on x
+    mag, level = _loop_start(rows, cfg)
     count = 0
     per_iter = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
-        count += int((np.abs(x) > level).sum())
-        _crest_step(x, mag, level, cfg, ofdm)
+        if it and cfg.strategy != "pw":
+            mag = np.abs(rows)  # a clip leaves it stale
+        count += int((_interior(mag, x.size) > level).sum())
+        _crest_step(rows, mag, level, cfg, ofdm)
         per_iter[it] = papr_db(x)
     return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)

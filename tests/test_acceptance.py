@@ -360,3 +360,33 @@ def test_c11_gray_grid_ser_matches_exact_theory():
     ok = gated >= 30 and worst <= bound and elapsed < 120
     report(11, f"Gray-grid SER vs exact theory (|z| <= {bound:.2f})", ok,
            f"gated={gated} worst |z|={worst:.2f} {' '.join(rows)} elapsed={elapsed:.0f}s")
+
+
+def test_c12_bussgang_clipping_statistics(rng):
+    # A soft limiter at A = g * sigma on iid circular complex Gaussian bins
+    # with E|x|^2 = sigma^2 gives y = alpha * x + d, d uncorrelated with x
+    # (Bussgang), alpha = 1 - e^(-g^2) + (sqrt(pi)/2) g erfc(g), and
+    # E|y|^2 = sigma^2 (1 - e^(-g^2)).  Fixed before the first run: 10**6
+    # bins, the rng fixture's seed, 4 levels x 2 statistics under a
+    # family-wise 1 % two-sided Bonferroni bound on the SE-scaled error.
+    from scipy.special import erfc
+    from scipy.stats import norm
+
+    t0 = time.perf_counter()
+    n, sigma2, gammas = 1_000_000, 2.0, (0.5, 1.0, 1.5, 2.0)
+    bound = norm.isf(0.01 / (2 * 2 * len(gammas)))
+    x = np.sqrt(sigma2 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    worst, rows = 0.0, []
+    for g in gammas:
+        y = clip(x, g * np.sqrt(sigma2))
+        alpha = 1 - math.exp(-g * g) + math.sqrt(math.pi) / 2 * g * erfc(g)
+        power = sigma2 * (1 - math.exp(-g * g))
+        for what, terms, expected in (("alpha", (y * x.conj()).real / sigma2, alpha),
+                                      ("E|y|^2", np.abs(y) ** 2, power)):
+            z = (terms.mean() - expected) / (terms.std() / math.sqrt(n))
+            worst = max(worst, abs(z))
+            rows.append(f"{what}@{g:g}:{z:+.2f}")
+    elapsed = time.perf_counter() - t0
+    ok = worst <= bound and elapsed < 10
+    report(12, f"Bussgang clipping statistics (|z| <= {bound:.2f})", ok,
+           f"worst |z|={worst:.2f} {' '.join(rows)} elapsed={elapsed:.1f}s")

@@ -164,6 +164,21 @@ def test_usage_errors_exit_2(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ccdf", "--n", "48"],
+    ["ser", "--snr-start", "5000", "--snr-stop", "5000"],
+    ["window-sweep", "--iterations", "-1"],
+], ids=lambda argv: argv[0])
+def test_usage_error_after_parsing_prints_the_command_usage(capsys, argv):
+    # found by the config or SNR-grid checks, not by argparse itself
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ofdmclip {argv[0]} [-h]")
+    assert f"ofdmclip {argv[0]}: error: " in err
+
+
 def test_snr_grid_cap_names_step(capsys):
     from ofdmclip.cli import MAX_SNR_POINTS
     step = 14.0 / MAX_SNR_POINTS  # MAX_SNR_POINTS + 1 points from 0 to 14 dB

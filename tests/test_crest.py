@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
-                      constellation, embed_spectrum, oob_filter, papr_db,
+                      constellation, embed_spectrum, oob_filter, papr_db, papr_samples,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
-from ofdmclip import crest
+from ofdmclip import crest, simulate
 from ofdmclip.crest import _clip, _work_rows
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -425,11 +425,11 @@ def test_rcf_iteration_trend(rng):
 @pytest.mark.parametrize("strategy, name", [("none", "hann")]
                          + [("pw", name) for name in WINDOW_NAMES])
 def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
-    # none runs one step and pw leaves the clip loop after a step, past the
-    # first, that windowed nothing; the rows are byte-equal to K steps run
-    # unconditionally.  The flat rows have no peak and (-0, -0) samples: a
-    # first peak window of nothing turns them into (+0, -0), a second into
-    # (+0, +0).
+    # none runs one step and pw leaves the clip loop after a step that
+    # windowed nothing; the rows are byte-equal to K steps run
+    # unconditionally, each pw step on the magnitudes the previous one left.
+    # The flat rows have no peak and (-0, -0) samples, which a peak window of
+    # nothing leaves as they are.
     flat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (3, OFDM.n_samples)))
     flat[:, ::9] = complex(-0.0, -0.0)
     blocks = (synthesize(random_symbols(rng, 40, OFDM), OFDM.oversample), flat)
@@ -446,7 +446,8 @@ def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
             cfg = ClipConfig(cr_db, 8, strategy, name, 9)
             level = threshold_from_ratio(x0, cr_db)[:, None]
             x = x0.copy()
-            mag = crest._border(x, cfg.window_len) if strategy == "pw" else None
+            mag = (crest._abs_into(x, crest._border(x, cfg.window_len))
+                   if strategy == "pw" else None)
             every = [x0.tobytes()]
             for _ in range(8):
                 crest._crest_step(x, mag, level, cfg, OFDM)
@@ -459,6 +460,28 @@ def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
                     asked += k
         assert x0.tobytes() == before
     assert 0 < len(steps) < asked  # the loop did leave early
+
+
+def test_pw_block_takes_one_dense_abs_per_config(monkeypatch):
+    # the bordered |x| is filled once per block and crest config; every peak
+    # window after that rewrites only the magnitudes of the samples it scales
+    fills, steps = [], []
+
+    def abs_into(x, mag, _abs_into=crest._abs_into):
+        fills.append(1)
+        return _abs_into(x, mag)
+
+    def step(*args, _step=crest._crest_step):
+        steps.append(1)
+        return _step(*args)
+
+    monkeypatch.setattr(crest, "_abs_into", abs_into)
+    monkeypatch.setattr(crest, "_crest_step", step)
+    cfgs = [ClipConfig(3.0, 5, "pw", name) for name in ("hann", "kaiser", "flattop")]
+    rows = simulate._BLOCK_SAMPLES // OFDM.n_samples
+    papr_samples(OFDM, cfgs, rows, seed=1)  # one block
+    assert len(fills) == len(cfgs)
+    assert len(steps) == 5 * len(cfgs)
 
 
 def test_rcf_pw_strategy_reduces_papr(rng):

@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdmclip import SUPPORTED_ORDERS, _kernels, constellation, demap_points
+from ofdmclip import (SUPPORTED_ORDERS, WINDOW_NAMES, _kernels, constellation, crest,
+                      demap_points, threshold_from_ratio)
 from ofdmclip.modulation import labels_to_bits
 from ofdmclip.windows import window
 
 
 def peak_suppress_loop(x, mag, thresh, w):
     """Scalar reference for ``_kernels.peak_suppress``: one row at a time,
-    one peak at a time, each window added whole in ascending sample order.
-    Returns (y, number of peaks)."""
+    one peak at a time, each window added whole in ascending sample order;
+    a sample whose envelope b is 0 is left as it is.  Returns (y, number of
+    peaks)."""
     n_rows, n = x.shape
     n_win = w.size
     half = (n_win - 1) // 2
@@ -42,6 +46,9 @@ def peak_suppress_loop(x, mag, thresh, w):
                         b[idx] += depth * w[d]
             i = j + 1
         for idx in range(n):
+            if b[idx] == 0.0:
+                y[r, idx] = x[r, idx]
+                continue
             env = b[idx] if b[idx] < 1.0 else 1.0
             y[r, idx] = x[r, idx] * (1.0 - env)
     return y, peaks
@@ -118,8 +125,8 @@ def case_rows_of_two(rng):
 
 
 def case_no_peak(rng):
-    # nothing above any level, so np.bincount has no term; every sample is
-    # still scaled by 1 - 0, which turns these signed zeros into +0.0
+    # nothing above any level, so the envelope is 0 everywhere and no sample
+    # is scaled: these signed zeros keep their sign
     x = batch(rng, rows=8, n=64)
     x[::2, ::3] = complex(-0.0, -0.0)
     x[1::2, ::4] = complex(0.5, -0.0)
@@ -173,6 +180,30 @@ def test_peak_suppress_matches_scalar_loop(rng, make):
     assert _kernels.peak_suppress(y, bordered(mag, w), thresh, w) == peaks  # scales y in place
     assert np.array_equal(y, ref)
     assert y.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), n=st.integers(1, 40),
+       name=st.sampled_from(WINDOW_NAMES), half=st.integers(0, 30),
+       cr_db=st.floats(-3.0, 6.0))
+def test_peak_window_passes_keep_magnitudes(seed, rows, n, name, half, cr_db):
+    # the clip loop's bordered buffer, filled once: after every pass its
+    # interior is np.abs(x) bit for bit and its border -1, and the pass is
+    # the scalar loop's on the rows it was given; windows longer than the
+    # row and flattop, whose gains may exceed 1, included
+    rng = np.random.default_rng(seed)
+    x = batch(rng, rows=rows, n=n)
+    x[:, 1::7] = complex(-0.0, -0.0)
+    w = window(name, 2 * half + 1)
+    mag = crest._abs_into(x, crest._border(x, w.size))
+    pad = (mag.shape[1] - n) // 2
+    thresh = threshold_from_ratio(x, cr_db)
+    for _ in range(5):
+        ref, peaks = peak_suppress_loop(x, np.abs(x), thresh, w)
+        assert crest._peak_window(x, mag, thresh[:, None], w) == peaks
+        assert x.tobytes() == ref.tobytes()
+        assert mag[:, pad:pad + n].tobytes() == np.abs(x).tobytes()
+        assert (mag[:, :pad] == -1.0).all() and (mag[:, pad + n:] == -1.0).all()
 
 
 def nearest_labels_joint(points, constellation):
