@@ -10,6 +10,7 @@ from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
 from ofdmclip import crest, simulate
 from ofdmclip.crest import _clip, _work_rows
+from oracles import clip_oracle
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 
@@ -124,26 +125,6 @@ def test_clip_rejects_nonpositive_level(rng):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="got a scalar"):
             clip(1.0 + 0j, 0.5)
-
-
-def clip_oracle(x, a):
-    """Per-sample reference for ``clip``: a sample above its row's level a is
-    scaled by a/|x|, and the scale is stepped down one float at a time until
-    np.abs puts the sample at or under a.  Returns (y, number of steps)."""
-    levels = np.broadcast_to(np.asarray(a, dtype=float), x.shape[:-1])
-    y = x.copy()
-    steps = 0
-    for idx in np.ndindex(x.shape):
-        level, mag = levels[idx[:-1]], np.abs(x[idx])
-        if mag > level:
-            scale = level / mag
-            w = x[idx] * scale
-            while np.abs(w) > level:
-                scale = np.nextafter(scale, 0.0)
-                w = x[idx] * scale
-                steps += 1
-            y[idx] = w
-    return y, steps
 
 
 def test_clip_matches_per_sample_oracle(rng):

@@ -12,46 +12,7 @@ from ofdmclip import (SUPPORTED_ORDERS, WINDOW_NAMES, _kernels, constellation, c
                       demap_points, threshold_from_ratio)
 from ofdmclip.modulation import labels_to_bits
 from ofdmclip.windows import window
-
-
-def peak_suppress_loop(x, mag, thresh, w):
-    """Scalar reference for ``_kernels.peak_suppress``: one row at a time,
-    one peak at a time, each window added whole in ascending sample order;
-    a sample whose envelope b is 0 is left as it is.  Returns (y, number of
-    peaks)."""
-    n_rows, n = x.shape
-    n_win = w.size
-    half = (n_win - 1) // 2
-    y = np.empty_like(x)
-    peaks = 0
-    for r in range(n_rows):
-        a = thresh[r]
-        b = np.zeros(n)
-        i = 0
-        while i < n:
-            m = mag[r, i]
-            if m <= a or (i > 0 and mag[r, i - 1] >= m):
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and mag[r, j + 1] == m:
-                j += 1
-            if j == n - 1 or mag[r, j + 1] < m:
-                peaks += 1
-                depth = 1.0 - a / m
-                lo = i - half
-                for d in range(n_win):
-                    idx = lo + d
-                    if 0 <= idx < n:
-                        b[idx] += depth * w[d]
-            i = j + 1
-        for idx in range(n):
-            if b[idx] == 0.0:
-                y[r, idx] = x[r, idx]
-                continue
-            env = b[idx] if b[idx] < 1.0 else 1.0
-            y[r, idx] = x[r, idx] * (1.0 - env)
-    return y, peaks
+from oracles import nearest_labels_joint, peak_suppress_loop
 
 
 def bordered(mag, w):
@@ -204,20 +165,6 @@ def test_peak_window_passes_keep_magnitudes(seed, rows, n, name, half, cr_db):
         assert x.tobytes() == ref.tobytes()
         assert mag[:, pad:pad + n].tobytes() == np.abs(x).tobytes()
         assert (mag[:, :pad] == -1.0).all() and (mag[:, pad + n:] == -1.0).all()
-
-
-def nearest_labels_joint(points, constellation):
-    """Reference for ``_kernels.nearest_labels``: the squared distance to all
-    M points, summed over both axes, and its first minimum."""
-    points = points.ravel()
-    out = np.empty(points.size, dtype=np.int64)
-    cre = constellation.real[None, :]
-    cim = constellation.imag[None, :]
-    for lo in range(0, points.size, 8192):
-        blk = points[lo:lo + 8192]
-        d = (blk.real[:, None] - cre) ** 2 + (blk.imag[:, None] - cim) ** 2
-        out[lo:lo + 8192] = d.argmin(axis=1)
-    return out
 
 
 @pytest.mark.parametrize("m", SUPPORTED_ORDERS)

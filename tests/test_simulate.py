@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, WindowKind, analyze,
-                      constellation, demap_points, extract_inband, map_bits, measure_ser,
-                      papr_db, papr_samples, rcf, ser_errors, window)
+from ofdmclip import (SUPPORTED_ORDERS, WINDOW_NAMES, ClipConfig, OfdmConfig, WindowKind,
+                      constellation, measure_ser, papr_samples, ser_errors, window)
 from ofdmclip import _fork, _kernels, crest, simulate
 from ofdmclip.modulation import bits_to_labels
+from oracles import reference_bits, reference_papr_db, reference_ser_errors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OFDM = OfdmConfig(64, 2, 16)
@@ -80,54 +80,6 @@ def test_ser_errors_worker_invariant():
 
 # --- one pass per block: grids and config sequences -------------------------
 
-def reference_bits(ofdm, seed, i):
-    """Symbol i's bits under RNG contract v2: bit j is bit j % 64, counting
-    from the low bit, of word j // 64 of numpy's Philox for its bits stream."""
-    n = ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
-    words = np.random.Philox(key=seed, counter=i << 64).random_raw(-(-n // 64))
-    return np.array([int(w) >> b & 1 for w in words for b in range(64)][:n], dtype=np.uint8)
-
-
-def reference_symbol(ofdm, seed, i):
-    """Symbol i's bits and its Gray-mapped bins."""
-    bits = reference_bits(ofdm, seed, i)
-    return bits, map_bits(bits, ofdm.mod_order)
-
-
-def reference_noise(seed, i, n):
-    """Symbol i's n complex normals: Box-Muller on 53-bit uniforms from
-    words 2j and 2j + 1 of numpy's Philox for its noise stream."""
-    words = np.random.Philox(key=seed | 1 << 64, counter=i << 64).random_raw(2 * n)
-    u = (words >> np.uint64(11)) * 2.0 ** -53
-    r = np.sqrt(-2 * np.log1p(-u[0::2]))
-    t = 2 * np.pi * u[1::2]
-    return r * np.cos(t) + 1j * (r * np.sin(t))
-
-
-def reference_papr_db(ofdm, cfg, n_symbols, seed):
-    """Symbol by symbol through the public single-signal functions."""
-    return np.array([papr_db(rcf(reference_symbol(ofdm, seed, i)[1], cfg, ofdm)[0])
-                     for i in range(n_symbols)])
-
-
-def reference_ser_errors(ofdm, cfg, snr_db, n_symbols, seed):
-    """Symbol by symbol through the public single-signal functions; symbol
-    i's noise, at the variance per sample the SNR sets, goes on its in-band
-    bins, the same variance per bin through the unitary FFT."""
-    k = constellation(ofdm.mod_order).bits_per_symbol
-    errors = 0
-    for i in range(n_symbols):
-        bits, symbol = reference_symbol(ofdm, seed, i)
-        x, _ = rcf(symbol, cfg, ofdm)
-        bins = extract_inband(analyze(x), ofdm.n_subcarriers)
-        if not np.isposinf(snr_db):
-            sigma2 = np.mean(np.abs(x) ** 2) / 10.0 ** (snr_db / 10.0)
-            bins = bins + np.sqrt(sigma2 / 2.0) * reference_noise(seed, i, ofdm.n_subcarriers)
-        rx = demap_points(bins, ofdm.mod_order)
-        errors += int((rx != bits).reshape(-1, k).any(axis=1).sum())
-    return errors
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)],
                          ids=["first", "across_2**32", "last"])
@@ -182,6 +134,30 @@ def test_ser_grid_matches_symbol_by_symbol_reference(strategy):
     counts = ser_errors(OFDM, cfg, GRID, 40, seed=4)
     assert counts.tolist() == [reference_ser_errors(OFDM, cfg, s, 40, seed=4) for s in GRID]
     assert counts[0] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=st.sampled_from(STRATEGIES), n=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       oversample=st.sampled_from([1, 2, 4, 8]), m=st.sampled_from(SUPPORTED_ORDERS),
+       cr_db=st.floats(-3.0, 9.0), k=st.integers(0, 6), name=st.sampled_from(WINDOW_NAMES),
+       half=st.integers(0, 12), n_symbols=st.integers(1, 3), seed=st.integers(0, 2**64 - 1))
+def test_engine_matches_independent_reference(strategy, n, oversample, m, cr_db, k, name,
+                                              half, n_symbols, seed):
+    # the drivers against oracles that share no crest core with them: the
+    # per-sample clip, the per-peak window loop and a plain FFT mask, every
+    # pass run, also those the engine skips
+    ofdm = OfdmConfig(n, oversample, m)
+    cfg = ClipConfig(cr_db, k, strategy, name, 2 * half + 1)
+    try:
+        papr = reference_papr_db(ofdm, cfg, n_symbols, seed)
+    except ValueError as exc:  # a row the peak window erased
+        assert "all-zero" in str(exc)
+        with pytest.raises(ValueError, match="all-zero"):
+            papr_samples(ofdm, cfg, n_symbols, seed)
+        return
+    assert papr_samples(ofdm, cfg, n_symbols, seed).tobytes() == papr.tobytes()
+    assert ser_errors(ofdm, cfg, GRID, n_symbols, seed).tolist() == \
+        [reference_ser_errors(ofdm, cfg, snr, n_symbols, seed) for snr in GRID]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
