@@ -4,7 +4,7 @@ Iterative clipping-and-filtering and peak windowing for crest-factor
 reduction, with Monte Carlo CCDF and AWGN symbol-error-rate measurement.
 """
 
-from .channel import SerPoint, awgn, measure_ser
+from .channel import awgn
 from .crest import (ClipConfig, ClipReport, STRATEGIES, clip, oob_filter,
                     peak_window_suppress, rcf, threshold_from_ratio)
 from .metrics import (CcdfCurve, ccdf_point_db, default_threshold_grid,
@@ -26,6 +26,6 @@ __all__ = [
     "ClipConfig", "ClipReport", "STRATEGIES", "threshold_from_ratio", "clip",
     "oob_filter", "peak_window_suppress", "rcf",
     "CcdfCurve", "papr_db", "estimate_ccdf", "ccdf_point_db", "default_threshold_grid",
-    "SerPoint", "awgn", "measure_ser",
+    "awgn",
     "papr_samples", "ser_errors",
 ]

@@ -1,4 +1,7 @@
-"""AWGN channel and end-to-end symbol-error-rate measurement.
+"""AWGN channel.
+
+End-to-end symbol-error counts, over an SNR grid, come from
+``simulate.ser_errors``; the SER is its count over n_symbols * N.
 
 SNR convention: per-complex-sample signal power over noise power at the
 channel input, measured on the signal actually transmitted (i.e. after any
@@ -8,29 +11,10 @@ because the noise spreads over all N*L bins while the signal occupies N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import simulate
-from .crest import ClipConfig
 from .metrics import _mean_power
-from .transform import OfdmConfig
-
-
-@dataclass(frozen=True)
-class SerPoint:
-    """One SNR point: counts are constellation symbols, not bits."""
-
-    snr_db: float
-    symbols_sent: int
-    symbol_errors: int
-    ser: float
-
-
-def _check_point(snr_db, hint: str = "") -> None:
-    if np.ndim(snr_db) != 0:
-        raise ValueError(f"snr_db must be one SNR point, got shape {np.shape(snr_db)}{hint}")
 
 
 def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.ndarray:
@@ -45,7 +29,8 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
     samples, an SNR so low that the noise variance overflows, and a seed or
     stream outside [0, 2**64).
     """
-    _check_point(snr_db)
+    if np.ndim(snr_db) != 0:
+        raise ValueError(f"snr_db must be one SNR point, got shape {np.shape(snr_db)}")
     simulate._check_snr(snr_db)
     seed, stream = simulate._check_u64(seed, "seed"), simulate._check_u64(stream, "stream index")
     signal = np.asarray(signal, dtype=np.complex128)
@@ -58,21 +43,3 @@ def awgn(signal: np.ndarray, snr_db: float, seed: int, stream: int = 0) -> np.nd
         raise ValueError(f"snr_db {snr_db} overflows the noise variance of mean power {power:g}")
     z = simulate._normals(seed, stream, stream + 1, signal.size)
     return signal + (np.sqrt(variance / 2.0) * z).reshape(signal.shape)
-
-
-def measure_ser(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db: float,
-                n_symbols: int, seed: int, workers: int = 1) -> SerPoint:
-    """Simulate the full chain and count constellation-symbol errors.
-
-    Per OFDM symbol: random bits -> Gray map -> synthesize -> optional
-    crest reduction -> analyze -> in-band extraction -> AWGN on the in-band
-    bins (the same noise per bin as AWGN before the unitary FFT) ->
-    nearest-point decision, counted against the sent levels.  Pure function
-    of (configs, snr_db, n_symbols, seed); ``workers`` only changes the wall
-    time.  ``snr_db`` is one point; a grid raises ValueError before anything
-    is simulated (``ser_errors`` takes grids).
-    """
-    _check_point(snr_db, "; ser_errors takes a grid")
-    errors = simulate.ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed, workers)
-    sent = n_symbols * ofdm.n_subcarriers
-    return SerPoint(float(snr_db), sent, errors, errors / sent)

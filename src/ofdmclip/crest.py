@@ -15,12 +15,14 @@ The clipping threshold A is set once from the *unclipped* signal's RMS as
 The step functions work along the last axis on one signal or a batch of
 rows, with the level given once or per row.  Each public step is a boundary
 check (a C-contiguous complex128 copy; NaN or inf samples raise ValueError),
-then an in-place core (``_clip``, ``_oob_filter``, ``_peak_window``) that
-checks nothing.  The clip loop checks its rows and levels once, in
-``threshold_from_ratio``, then ``_crest_step`` runs only the cores on one work
-copy per crest config: a clip scales by a/|x| <= 1, the OOB filter and a
-peak-window gain keep finite rows finite.  A row a step erases is caught
-after the loop, by the PAPR or power measurement.
+then an in-place core (``_clip``, ``_oob_filter``, ``_kernels.peak_suppress``)
+that checks nothing.  One clip loop, ``_clip_loop``, serves the Monte Carlo
+drivers and ``rcf``: it checks its rows and levels once, in
+``threshold_from_ratio``, then runs only the cores on one work copy per crest
+config and yields the rows after each pass.  The drivers keep the last rows;
+``rcf`` builds its ClipReport from every pass.  A clip scales by a/|x| <= 1,
+the OOB filter and a peak-window gain keep finite rows finite, and a row a
+pass erases is caught by the PAPR or power measurement.
 
 The peak window reads |x| from a float buffer whose rows carry -1 border
 columns (``_border``), so the peak search needs no row-end bookkeeping.  A
@@ -86,7 +88,17 @@ class ClipConfig:
 
 @dataclass
 class ClipReport:
-    """Observability record for one rcf() run."""
+    """Observability record for one rcf() run.
+
+    ``per_iteration_papr_db`` holds the PAPR after each of the config's
+    iterations, and ``clipped_sample_count`` sums, over them, the samples
+    above the level A before each.  An iteration the clip loop skips (every
+    ``none`` pass after the first, and every ``pw`` pass after one that
+    windowed no peak) repeats the last PAPR and counts 0.  That is exact: a
+    clip leaves no sample above A, and a row with a sample above A always
+    has a peak, its leftmost maximum, so such a pass would change no bit.
+    With iterations=0 the array holds the unclipped PAPR once.
+    """
 
     papr_before_db: float
     papr_after_db: float
@@ -211,7 +223,8 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     _check_window_len(window_len, "window length")
     window_len = int(window_len)
     x, mag, level = _work_rows(signal, a, window_len)
-    _peak_window(x, mag, level, _coefficients(as_window_kind(kind), window_len))
+    _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, level.reshape(-1),
+                           _coefficients(as_window_kind(kind), window_len))
     return x
 
 
@@ -224,60 +237,55 @@ def _coefficients(kind: WindowKind, window_len: int) -> np.ndarray:
     return w
 
 
-def _peak_window(x: np.ndarray, mag: np.ndarray, level: np.ndarray, w: np.ndarray) -> int:
-    """``peak_window_suppress`` with coefficients ``w`` in place on ``x``, viewed
-    as rows, given |x| in the bordered buffer ``mag``, which it keeps equal to
-    |x|, and levels (..., 1); no checks.  Returns the number of peaks it
-    windowed."""
-    return _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag,
-                                  level.reshape(-1), w)
+def _check_configs(ofdm, *clip_cfgs) -> None:
+    """The config check at the boundary of ``rcf`` and the Monte Carlo drivers:
+    ValueError unless ``ofdm`` is an OfdmConfig and each clip config a ClipConfig."""
+    if not isinstance(ofdm, OfdmConfig):
+        raise ValueError(f"ofdm must be an OfdmConfig, got {ofdm!r}")
+    if bad := [cfg for cfg in clip_cfgs if not isinstance(cfg, ClipConfig)]:
+        raise ValueError(f"clip_cfg must be a ClipConfig, got {bad[0]!r}")
 
 
-def _crest_step(x: np.ndarray, mag: np.ndarray | None, level: np.ndarray,
-                cfg: ClipConfig, ofdm: OfdmConfig) -> int | None:
-    """One iteration of the clip loop in place on the rows ``x``, levels
-    (rows, 1), given |x| in ``mag``; no checks.  ``pw``: a peak window, with
-    ``mag`` the loop's bordered buffer, kept equal to |x|.  ``none`` and
-    ``cf``: a clip and, for ``cf``, the OOB filter, with ``mag`` a plain
-    np.abs(x), stale after the step, or None to take one here.  Returns the
-    number of peaks windowed, or None after a clip."""
-    if cfg.strategy == "pw":
-        return _peak_window(x, mag, level, _coefficients(cfg.window, cfg.window_len))
-    _clip(x, np.abs(x) if mag is None else mag, level)
-    if cfg.strategy == "cf":
-        _oob_filter(x, ofdm.n_subcarriers)
-    return None
+def _clip_loop(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
+    """The clip loop on the rows ``x0`` (rows, n): yields (rows, levels) after
+    each pass, every pass run in place on one copy of ``x0``, with the levels
+    (rows, 1) taken once from |x0| by threshold_from_ratio and its checks.
 
-
-def _loop_start(x: np.ndarray, cfg: ClipConfig) -> tuple[np.ndarray, np.ndarray]:
-    """|x| of the rows ``x`` for the clip loop's first step, in a bordered
-    buffer for ``pw``, and the levels (rows, 1) taken from those magnitudes:
-    threshold_from_ratio sees np.abs(x) with every check it makes on x."""
-    if cfg.strategy == "pw":
-        mag = _abs_into(x, _border(x, cfg.window_len))
-    else:
-        mag = np.abs(x)
-    return mag, threshold_from_ratio(_interior(mag, x.shape[-1]), cfg.clip_ratio_db)[:, None]
+    A pass is a peak window (``pw``), or a clip followed, for ``cf``, by the
+    OOB filter.  ``pw`` keeps |x| in a bordered buffer that each window
+    updates; ``cf`` and ``none`` clip first with the np.abs the level came
+    from, and take a fresh one on every later pass.  A hard clip is a
+    bit-exact no-op on its own output (see ``clip``), so ``none`` runs one
+    pass whatever the iterations.  ``pw`` stops before yielding a pass that
+    windowed no peak: such a pass changes no bit, and every later one would
+    find the same |x| and window nothing again.  ``cf``'s OOB filter rewrites
+    the low bits on every pass, so it runs every one."""
+    if cfg.iterations == 0:
+        return
+    pw = cfg.strategy == "pw"
+    mag = _abs_into(x0, _border(x0, cfg.window_len)) if pw else np.abs(x0)
+    a = threshold_from_ratio(_interior(mag, x0.shape[-1]), cfg.clip_ratio_db)
+    level = a[:, None]
+    x = x0.copy()
+    for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
+        if pw:
+            if not _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len)):
+                return
+        else:
+            _clip(x, np.abs(x) if mag is None else mag, level)
+            mag = None  # stale after the clip
+            if cfg.strategy == "cf":
+                _oob_filter(x, ofdm.n_subcarriers)
+        yield x, level
 
 
 def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
-    """The clip loop of the Monte Carlo drivers on the rows ``x0``: ``x0`` itself
-    without crest reduction, else one copy with every step run in place on it.
-
-    A hard clip is a bit-exact no-op on its own output (see ``clip``), so
-    ``none`` runs one step whatever the iterations.  ``pw`` stops after a
-    step that windowed no peak: such a step changes no bit, and every later
-    one would find the same |x| and window nothing again.  ``cf``'s OOB
-    filter rewrites the low bits on every pass, so it runs every one."""
-    if cfg is None or cfg.iterations == 0:
-        return x0
-    mag, level = _loop_start(x0, cfg)
-    x = x0.copy()
-    for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
-        if _crest_step(x, mag, level, cfg, ofdm) == 0:
-            break
-        if cfg.strategy == "cf":
-            mag = None  # the OOB filter rewrote every sample
+    """The Monte Carlo drivers' crest reduction of the rows ``x0``: the rows
+    after the clip loop's last pass, or ``x0`` itself when no pass ran."""
+    x = x0
+    if cfg is not None:
+        for x, _ in _clip_loop(x0, cfg, ofdm):
+            pass
     return x
 
 
@@ -285,9 +293,10 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     """Synthesize one frequency-domain symbol and run the clip loop on it.
 
     Returns (time signal, ClipReport).  With iterations=0 the synthesized
-    signal passes through untouched.  NaN or inf bins and an all-zero
-    symbol raise ValueError.
+    signal passes through untouched.  NaN or inf bins, an all-zero symbol
+    and configs of the wrong type raise ValueError.
     """
+    _check_configs(ofdm, cfg)
     symbol = np.asarray(symbol, dtype=np.complex128)
     if symbol.shape != (ofdm.n_subcarriers,):
         raise ValueError(
@@ -295,17 +304,13 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     if not np.isfinite(symbol).all():
         raise ValueError("symbol must be finite (no NaN or inf bins)")
     x = synthesize(symbol, ofdm.oversample)
-    papr_before = papr_db(x)
-    if cfg.iterations == 0:
-        return x, ClipReport(papr_before, papr_before, 0, np.array([papr_before]))
-    rows = x.reshape(1, -1)  # a view: the steps run in place on x
-    mag, level = _loop_start(rows, cfg)
-    count = 0
-    per_iter = np.empty(cfg.iterations)
-    for it in range(cfg.iterations):
-        if it and cfg.strategy != "pw":
-            mag = np.abs(rows)  # a clip leaves it stale
-        count += int((_interior(mag, x.size) > level).sum())
-        _crest_step(rows, mag, level, cfg, ofdm)
-        per_iter[it] = papr_db(x)
-    return x, ClipReport(papr_before, float(per_iter[-1]), count, per_iter)
+    papr = [papr_db(x)]
+    count, before = 0, x.reshape(1, -1)
+    for rows, level in _clip_loop(before, cfg, ofdm):
+        count += int(np.count_nonzero(np.abs(before) > level))
+        papr.append(papr_db(rows[0]))
+        x, before = rows[0], rows.copy()
+    # the passes the loop skipped repeat the last PAPR and clip nothing
+    per_iter = np.full(max(cfg.iterations, 1), papr[-1])
+    per_iter[:len(papr) - 1] = papr[1:]
+    return x, ClipReport(papr[0], papr[-1], count, per_iter)

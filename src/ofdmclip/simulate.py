@@ -46,7 +46,7 @@ import os
 import numpy as np
 
 from . import _kernels
-from .crest import ClipConfig, _rcf_rows
+from .crest import ClipConfig, _check_configs, _rcf_rows
 from .metrics import _mean_power, papr_db
 from .modulation import _integral, bits_to_labels, constellation
 from .transform import OfdmConfig, analyze, extract_inband, synthesize
@@ -213,9 +213,8 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
 
 
 def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
+    _check_configs(ofdm, *(cfg for cfg in clip_cfgs if cfg is not None))
     _check_run(n_symbols, seed, workers)
-    if bad := [cfg for cfg in clip_cfgs if not (cfg is None or isinstance(cfg, ClipConfig))]:
-        raise ValueError(f"clip_cfg must be a ClipConfig or None, got {bad[0]!r}")
     # blocks are cut for the children that run them, at most one per CPU
     workers = min(workers, _cpus())
     rows = max(1, min(_BLOCK_SAMPLES // ofdm.n_samples, -(-n_symbols // workers)))

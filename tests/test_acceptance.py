@@ -18,7 +18,7 @@ import pytest
 
 from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, analyze, ccdf_point_db,
                       clip, constellation, default_threshold_grid, estimate_ccdf,
-                      extract_inband, measure_ser, papr_samples, peak_window_suppress,
+                      extract_inband, papr_samples, peak_window_suppress,
                       ser_errors, synthesize, threshold_from_ratio)
 from ofdmclip import _fork
 from ofdmclip.cli import main as cli_main
@@ -130,6 +130,13 @@ def test_c03_unclipped_ccdf_vs_nyquist_formula(rng):
            f"{z_gauss.max():.1f} SE at {thresholds[g_sel][z_gauss.argmax()]:.2f} dB")
 
 
+def ser(ofdm, clip_cfg, snr_db, n_symbols, seed, workers=1):
+    """(symbol errors, constellation symbols sent, SER) of one SNR point."""
+    errors = ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed, workers)
+    sent = n_symbols * ofdm.n_subcarriers
+    return errors, sent, errors / sent
+
+
 def qfunc(zv):
     return 0.5 * math.erfc(zv / math.sqrt(2))
 
@@ -145,8 +152,7 @@ def test_c04_qpsk_ser_matches_closed_form():
         theory = 2 * p - p * p
         if theory < 1e-3:
             continue
-        point = measure_ser(cfg, None, snr_db, n_sym, seed=1, workers=2)
-        rel = abs(point.ser - theory) / theory
+        rel = abs(ser(cfg, None, snr_db, n_sym, seed=1, workers=2)[2] - theory) / theory
         rows.append(f"{snr_db:g}dB:{rel:.1%}")
         ok = ok and rel <= 0.05
     elapsed = time.perf_counter() - t0
@@ -176,16 +182,15 @@ def test_c06_clipping_increases_ser_binomial_test():
     t0 = time.perf_counter()
     ofdm = OfdmConfig(64, 4, 8)
     n_sym = 15_625  # 1e6 constellation symbols per arm
-    clean = measure_ser(ofdm, None, 10.0, n_sym, seed=1, workers=2)
-    clipped = measure_ser(ofdm, ClipConfig(3.0, 5, "cf"), 10.0, n_sym, seed=1, workers=2)
+    _, _, clean = ser(ofdm, None, 10.0, n_sym, seed=1, workers=2)
+    errors, sent, clipped = ser(ofdm, ClipConfig(3.0, 5, "cf"), 10.0, n_sym, seed=1, workers=2)
     # one-sided binomial test of the clipped error count against the
     # unclipped empirical rate at 99% confidence
-    pvalue = binomtest(clipped.symbol_errors, clipped.symbols_sent,
-                       max(clean.ser, 1e-12), alternative="greater").pvalue
+    pvalue = binomtest(errors, sent, max(clean, 1e-12), alternative="greater").pvalue
     elapsed = time.perf_counter() - t0
-    ok = clipped.ser >= clean.ser and pvalue < 0.01
+    ok = clipped >= clean and pvalue < 0.01
     report(6, "clipping degrades SER (99% binomial)", ok,
-           f"unclipped={clean.ser:.2e} clipped={clipped.ser:.2e} "
+           f"unclipped={clean:.2e} clipped={clipped:.2e} "
            f"p={pvalue:.1e} elapsed={elapsed:.0f}s")
 
 
@@ -195,8 +200,8 @@ def test_c07_modulation_order_trends():
     rows = []
     ser_ok = True
     for snr_db in (4.0, 6.0, 8.0, 10.0, 12.0, 14.0):
-        ser64 = measure_ser(OfdmConfig(64, 1, 64), None, snr_db, n_sym, seed=1).ser
-        ser4 = measure_ser(OfdmConfig(64, 1, 4), None, snr_db, n_sym, seed=1).ser
+        ser64 = ser(OfdmConfig(64, 1, 64), None, snr_db, n_sym, seed=1)[2]
+        ser4 = ser(OfdmConfig(64, 1, 4), None, snr_db, n_sym, seed=1)[2]
         rows.append(f"{snr_db:g}dB:{ser64:.4f}>{ser4:.4f}")
         ser_ok = ser_ok and ser64 > ser4
     mean64 = papr_samples(OfdmConfig(64, 4, 64), None, 10_000, seed=1).mean()

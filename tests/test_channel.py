@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ofdmclip import ClipConfig, OfdmConfig, awgn, measure_ser, ser_errors, simulate
+from ofdmclip import ClipConfig, OfdmConfig, awgn, ser_errors, simulate
 
 
 def qfunc(z):
@@ -14,6 +14,11 @@ def qfunc(z):
 def qpsk_ser_theory(snr_linear):
     p = qfunc(math.sqrt(snr_linear))
     return 2 * p - p * p
+
+
+def ser(ofdm, clip_cfg, snr_db, n_symbols, seed):
+    """Symbol-error rate: errors over the n_symbols * N constellation symbols sent."""
+    return ser_errors(ofdm, clip_cfg, snr_db, n_symbols, seed) / (n_symbols * ofdm.n_subcarriers)
 
 
 def carrier(n=512):
@@ -60,18 +65,15 @@ def test_awgn_rejects_zero_signal():
         awgn(np.zeros(8, dtype=complex), 10.0, seed=1)
 
 
-def test_measure_ser_noiseless_is_error_free():
-    point = measure_ser(OfdmConfig(64, 4, 16), None, 100.0, 50, seed=2)
-    assert point.symbol_errors == 0
-    assert point.ser == 0.0
-    assert point.symbols_sent == 50 * 64
+def test_ser_noiseless_is_error_free():
+    assert ser_errors(OfdmConfig(64, 4, 16), None, 100.0, 50, seed=2) == 0
 
 
-def test_measure_ser_deterministic_across_workers():
+def test_ser_deterministic_across_workers():
     cfg = OfdmConfig(64, 4, 8)
     clip_cfg = ClipConfig(iterations=2)
-    a = measure_ser(cfg, clip_cfg, 9.0, 1200, seed=7, workers=1)
-    b = measure_ser(cfg, clip_cfg, 9.0, 1200, seed=7, workers=2)
+    a = ser_errors(cfg, clip_cfg, 9.0, 1200, seed=7, workers=1)
+    b = ser_errors(cfg, clip_cfg, 9.0, 1200, seed=7, workers=2)
     assert a == b
 
 
@@ -79,31 +81,30 @@ def test_qpsk_ser_matches_closed_form_quick(rng):
     # L=1 so per-sample SNR equals Es/N0; 10% tolerance at this sample size
     cfg = OfdmConfig(64, 1, 4)
     for snr_db in (0.0, 4.0, 8.0):
-        point = measure_ser(cfg, None, snr_db, 1600, seed=3)
         theory = qpsk_ser_theory(10 ** (snr_db / 10))
-        assert abs(point.ser - theory) <= 0.10 * theory
+        assert abs(ser(cfg, None, snr_db, 1600, seed=3) - theory) <= 0.10 * theory
 
 
 def test_ser_monotone_in_snr():
     cfg = OfdmConfig(64, 1, 8)
-    points = [measure_ser(cfg, None, snr, 1600, seed=9) for snr in (2.0, 4.0, 6.0, 8.0)]
-    for lo, hi in zip(points, points[1:]):
-        se = math.sqrt(max(lo.ser, 1e-9) * (1 - lo.ser) / lo.symbols_sent)
-        assert hi.ser <= lo.ser + 2 * se
+    rates = [ser(cfg, None, snr, 1600, seed=9) for snr in (2.0, 4.0, 6.0, 8.0)]
+    for lo, hi in zip(rates, rates[1:]):
+        se = math.sqrt(max(lo, 1e-9) * (1 - lo) / (1600 * cfg.n_subcarriers))
+        assert hi <= lo + 2 * se
 
 
 def test_higher_order_modulation_has_higher_ser():
     snr_db = 8.0
-    ser64 = measure_ser(OfdmConfig(64, 1, 64), None, snr_db, 400, seed=4).ser
-    ser4 = measure_ser(OfdmConfig(64, 1, 4), None, snr_db, 400, seed=4).ser
+    ser64 = ser(OfdmConfig(64, 1, 64), None, snr_db, 400, seed=4)
+    ser4 = ser(OfdmConfig(64, 1, 4), None, snr_db, 400, seed=4)
     assert ser64 > ser4
 
 
 def test_clipping_degrades_ser_quick():
     cfg = OfdmConfig(64, 4, 8)
-    clipped = measure_ser(cfg, ClipConfig(clip_ratio_db=3.0, iterations=5), 10.0, 1500, seed=6)
-    clean = measure_ser(cfg, None, 10.0, 1500, seed=6)
-    assert clipped.ser >= clean.ser
+    clipped = ser(cfg, ClipConfig(clip_ratio_db=3.0, iterations=5), 10.0, 1500, seed=6)
+    clean = ser(cfg, None, 10.0, 1500, seed=6)
+    assert clipped >= clean
 
 
 def test_lowest_snr_runs_without_overflow():
@@ -133,13 +134,14 @@ def test_awgn_refuses_an_overflowing_noise_variance():
 
 def test_invalid_args(monkeypatch):
     with pytest.raises(ValueError):
-        measure_ser(OfdmConfig(), None, 10.0, 0, seed=1)
+        ser_errors(OfdmConfig(), None, 10.0, 0, seed=1)
+    # awgn takes one SNR point
+    for grid in ([10.0], [], np.array([4.0, 8.0])):
+        with pytest.raises(ValueError, match="one SNR point"):
+            awgn(carrier(), grid, seed=1)
     # the SNR input is checked before any symbol is drawn
     with monkeypatch.context() as m:
         m.setattr(simulate, "_draw_labels", None)
-        for grid in ([10.0], [], np.array([4.0, 8.0])):
-            with pytest.raises(ValueError, match="one SNR point"):
-                measure_ser(OfdmConfig(), None, grid, 10, seed=1)
         with pytest.raises(ValueError, match="at least one SNR point"):
             ser_errors(OfdmConfig(), None, [], 10, seed=1)
     for stream in (1.5, -1, 2**64):
@@ -148,14 +150,14 @@ def test_invalid_args(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         awgn(carrier(), 10.0, seed=2**64)
     with pytest.raises(ValueError):
-        measure_ser(OfdmConfig(), None, 10.0, 10, seed=-1)
+        ser_errors(OfdmConfig(), None, 10.0, 10, seed=-1)
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
-            measure_ser(OfdmConfig(), None, 10.0, 10, seed=1, workers=workers)
+            ser_errors(OfdmConfig(), None, 10.0, 10, seed=1, workers=workers)
     # -3100 dB: a noise power of 1e310 overflows; +5000 dB: 10**(snr/10) does
     for snr_db in (float("nan"), float("-inf"), -3100.0, 5000.0):
         with pytest.raises(ValueError, match="snr_db"):
-            measure_ser(OfdmConfig(), None, snr_db, 10, seed=1)
+            ser_errors(OfdmConfig(), None, snr_db, 10, seed=1)
         with pytest.raises(ValueError, match="snr_db"):
             ser_errors(OfdmConfig(), None, [10.0, snr_db], 10, seed=1)
         with pytest.raises(ValueError, match="snr_db"):

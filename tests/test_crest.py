@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
                       constellation, embed_spectrum, oob_filter, papr_db, papr_samples,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
-from ofdmclip import crest, simulate
+from ofdmclip import _kernels, crest, simulate
 from ofdmclip.crest import _clip, _work_rows
 from oracles import clip_oracle
 
@@ -403,66 +403,116 @@ def test_rcf_iteration_trend(rng):
     assert p1 - p5 > 0.3
 
 
-@pytest.mark.parametrize("strategy, name", [("none", "hann")]
+def public_pass(x, a, cfg):
+    """One pass of ``cfg``'s clip loop through the public steps, at level ``a``."""
+    if cfg.strategy == "pw":
+        return peak_window_suppress(x, a, cfg.window, cfg.window_len)
+    y = clip(x, a)
+    return oob_filter(y, OFDM.n_subcarriers, OFDM.oversample) if cfg.strategy == "cf" else y
+
+
+def count_passes(monkeypatch, strategy):
+    """A list that gets one entry per pass the clip loop runs for ``strategy``:
+    one per ``_kernels.peak_suppress`` call for ``pw``, one per clip otherwise."""
+    passes = []
+    module, name = (_kernels, "peak_suppress") if strategy == "pw" else (crest, "_clip")
+
+    def counted(*args, _core=getattr(module, name)):
+        passes.append(1)
+        return _core(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return passes
+
+
+@pytest.mark.parametrize("strategy, name", [("none", "hann"), ("cf", "hann")]
                          + [("pw", name) for name in WINDOW_NAMES])
 def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
-    # none runs one step and pw leaves the clip loop after a step that
-    # windowed nothing; the rows are byte-equal to K steps run
-    # unconditionally, each pw step on the magnitudes the previous one left.
-    # The flat rows have no peak and (-0, -0) samples, which a peak window of
-    # nothing leaves as they are.
+    # none runs one pass and pw leaves the clip loop after a pass that
+    # windowed nothing; the rows are byte-equal to K public steps run
+    # unconditionally at the level of the unclipped rows.  The flat rows have
+    # no peak and (-0, -0) samples, which a peak window of nothing leaves as
+    # they are.
     flat = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (3, OFDM.n_samples)))
     flat[:, ::9] = complex(-0.0, -0.0)
     blocks = (synthesize(random_symbols(rng, 40, OFDM), OFDM.oversample), flat)
-    steps = []
-
-    def counted(*args, _step=crest._crest_step):
-        steps.append(1)
-        return _step(*args)
-
-    asked = 0
+    asked = ran = 0
     for x0 in blocks:
         before = x0.tobytes()
         for cr_db in range(-3, 10):
-            cfg = ClipConfig(cr_db, 8, strategy, name, 9)
-            level = threshold_from_ratio(x0, cr_db)[:, None]
-            x = x0.copy()
-            mag = (crest._abs_into(x, crest._border(x, cfg.window_len))
-                   if strategy == "pw" else None)
-            every = [x0.tobytes()]
+            a = threshold_from_ratio(x0, cr_db)
+            every = [x0]
             for _ in range(8):
-                crest._crest_step(x, mag, level, cfg, OFDM)
-                every.append(x.tobytes())
+                every.append(public_pass(every[-1], a, ClipConfig(cr_db, 8, strategy, name, 9)))
             with monkeypatch.context() as m:
-                m.setattr(crest, "_crest_step", counted)
+                passes = count_passes(m, strategy)
                 for k in range(9):
                     got = crest._rcf_rows(x0, ClipConfig(cr_db, k, strategy, name, 9), OFDM)
-                    assert got.tobytes() == every[k], (cr_db, k)
+                    assert got.tobytes() == every[k].tobytes(), (cr_db, k)
                     asked += k
+            ran += len(passes)
         assert x0.tobytes() == before
-    assert 0 < len(steps) < asked  # the loop did leave early
+    if strategy == "cf":
+        assert ran == asked
+    else:
+        assert 0 < ran < asked  # the loop did leave early
 
 
 def test_pw_block_takes_one_dense_abs_per_config(monkeypatch):
     # the bordered |x| is filled once per block and crest config; every peak
     # window after that rewrites only the magnitudes of the samples it scales
-    fills, steps = [], []
+    fills = []
 
     def abs_into(x, mag, _abs_into=crest._abs_into):
         fills.append(1)
         return _abs_into(x, mag)
 
-    def step(*args, _step=crest._crest_step):
-        steps.append(1)
-        return _step(*args)
-
     monkeypatch.setattr(crest, "_abs_into", abs_into)
-    monkeypatch.setattr(crest, "_crest_step", step)
+    passes = count_passes(monkeypatch, "pw")
     cfgs = [ClipConfig(3.0, 5, "pw", name) for name in ("hann", "kaiser", "flattop")]
     rows = simulate._BLOCK_SAMPLES // OFDM.n_samples
     papr_samples(OFDM, cfgs, rows, seed=1)  # one block
     assert len(fills) == len(cfgs)
-    assert len(steps) == 5 * len(cfgs)
+    assert len(passes) == 5 * len(cfgs)
+
+
+@pytest.mark.parametrize("strategy, name", [("none", "hann"), ("cf", "hann"), ("pw", "hann"),
+                                            ("pw", "flattop")])
+def test_rcf_report_equals_public_steps(rng, monkeypatch, strategy, name):
+    # K public passes at the level of the unclipped signal, each counting the
+    # samples above it first: rcf's report and signal are the same, though
+    # its loop skips the passes after a none clip or a pw pass with no peak
+    asked = ran = 0
+    for symbol in random_symbols(rng, 20, OFDM):
+        for cr_db in (0.0, 3.0, 6.0):
+            cfg = ClipConfig(cr_db, 6, strategy, name, 11)
+            x = synthesize(symbol, OFDM.oversample)
+            a = threshold_from_ratio(x, cr_db)
+            count, papr = 0, []
+            for _ in range(cfg.iterations):
+                count += int((np.abs(x) > a).sum())
+                x = public_pass(x, a, cfg)
+                papr.append(papr_db(x))
+            with monkeypatch.context() as m:
+                passes = count_passes(m, strategy)
+                y, report = rcf(symbol, cfg, OFDM)
+            asked += cfg.iterations
+            ran += len(passes)
+            assert y.tobytes() == x.tobytes()
+            assert report.clipped_sample_count == count
+            assert report.per_iteration_papr_db.tobytes() == np.array(papr).tobytes()
+            assert report.papr_after_db == papr[-1]
+    if strategy == "cf":
+        assert ran == asked
+    else:
+        assert 0 < ran < asked  # the loop did leave early
+
+
+def test_rcf_refuses_wrong_config_types(rng):
+    sym = one_symbol(rng)
+    for cfg, ofdm in ((None, OFDM), ("cf", OFDM), (ClipConfig(), None), (ClipConfig(), (64, 4, 8))):
+        with pytest.raises(ValueError, match="ClipConfig" if ofdm is OFDM else "OfdmConfig"):
+            rcf(sym, cfg, ofdm)
 
 
 def test_rcf_pw_strategy_reduces_papr(rng):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmclip import (SUPPORTED_ORDERS, WINDOW_NAMES, ClipConfig, OfdmConfig, WindowKind,
-                      constellation, measure_ser, papr_samples, ser_errors, window)
+                      constellation, papr_samples, ser_errors, window)
 from ofdmclip import _fork, _kernels, crest, simulate
 from ofdmclip.modulation import bits_to_labels
 from oracles import reference_bits, reference_papr_db, reference_ser_errors
@@ -136,7 +136,7 @@ def test_ser_grid_matches_symbol_by_symbol_reference(strategy):
     assert counts[0] > 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(strategy=st.sampled_from(STRATEGIES), n=st.sampled_from([2, 4, 8, 16, 32, 64]),
        oversample=st.sampled_from([1, 2, 4, 8]), m=st.sampled_from(SUPPORTED_ORDERS),
        cr_db=st.floats(-3.0, 9.0), k=st.integers(0, 6), name=st.sampled_from(WINDOW_NAMES),
@@ -258,6 +258,12 @@ def test_wrong_config_types_fail_before_any_block(monkeypatch):
     for bad in ("cf", [ClipConfig()], (None,)):
         with pytest.raises(ValueError, match="clip_cfg"):
             ser_errors(OFDM, bad, GRID, 10, seed=1)
+    # a config of the wrong type fails at the boundary, not as an AttributeError
+    for bad in (None, (64, 2, 16), OFDM.__dict__):
+        with pytest.raises(ValueError, match="OfdmConfig"):
+            papr_samples(bad, None, 10, seed=1)
+        with pytest.raises(ValueError, match="OfdmConfig"):
+            ser_errors(bad, ClipConfig(), GRID, 10, seed=1)
 
 
 def test_config_sequence_rows_equal_single_config_calls():
@@ -645,9 +651,8 @@ def test_grid_and_sequence_validation(monkeypatch):
         for empty in ([], np.array([])):
             with pytest.raises(ValueError, match="at least one SNR point"):
                 ser_errors(OFDM, None, empty, 10, seed=1)
-        for grid in ([6.0, 8.0], []):
-            with pytest.raises(ValueError, match="one SNR point"):
-                measure_ser(OFDM, None, grid, 10, seed=1)
+        with pytest.raises(ValueError, match="1-D grid"):
+            ser_errors(OFDM, None, GRID.reshape(2, 2), 10, seed=1)
     for snr in (np.nan, -np.inf):
         with pytest.raises(ValueError):
             ser_errors(OFDM, None, [10.0, snr], 10, seed=1)
