@@ -1,6 +1,8 @@
 """The fork runner of ``simulate``'s parallel runs, loaded only by them: a
 process pool's import, start-up and shutdown cost several times these forks
-(README, Performance)."""
+(README, Performance).  The children of a CLI run inherit its frozen heap
+(``cli.cli``): their collections skip the import-time objects, so they
+neither traverse them nor write their pages."""
 from __future__ import annotations
 
 import os

@@ -6,10 +6,13 @@ as that flag's default; explicit flags beat the environment.  Output is written
 atomically — a failed run never leaves a partial CSV behind.
 
 Exit codes: 0 success, 2 usage error, 3 CSV write error, 4 numeric, memory or worker error.
+A run whose stdout is closed before it prints its notes still exits 0: the
+CSV is written by then.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -222,13 +225,21 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print("\n".join(notes))
+    try:
+        print("\n".join(notes), flush=True)
+    except BrokenPipeError:
+        # stdout's reader left after the CSV was written: still a success.  With
+        # stdout on /dev/null, its flush at shutdown raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 
 def cli() -> None:
+    """``python -m ofdmclip`` and the ``ofdmclip`` script.  ``gc.freeze()`` moves
+    every object the imports made, numpy's most of all, to the collector's
+    permanent generation, so no collection traverses them again: not those at
+    interpreter shutdown, nor those of forked children, which then leave the
+    parent's pages shared (README, Performance).  Only this entry freezes:
+    ``main()`` leaves an in-process caller's collector as it was."""
+    gc.freeze()
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli()

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import os
 import stat
 import subprocess
@@ -295,6 +296,51 @@ def test_module_entry_point_exit_codes(tmp_path):
     done = ofdmclip("ccdf", "--mod", "5", "--out", str(tmp_path / "x.csv"))
     assert done.returncode == 2 and "--mod" in done.stderr
     assert not (tmp_path / "x.csv").exists()
+    done = ofdmclip("ccdf", "--symbols", "20", "--out", str(tmp_path / "no" / "c.csv"))
+    assert done.returncode == 3 and "I/O error" in done.stderr
+    # a row the clip loop erases
+    done = ofdmclip("ccdf", "--clip", "pw", "--window", "rect", "--window-len", "255",
+                    "--symbols", "200", "--out", str(tmp_path / "r.csv"))
+    assert done.returncode == 4 and "numeric error" in done.stderr
+    assert not (tmp_path / "r.csv").exists()
+    # stdout a pipe whose reader is gone before the notes are printed, with
+    # stdout unbuffered (print raises) and buffered (the flush does)
+    for unbuffered in ("1", ""):
+        out = tmp_path / f"bp{unbuffered}.csv"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ofdmclip", "ccdf", "--symbols", "20",
+                                   "--out", str(out)], stdout=w, stderr=subprocess.PIPE,
+                                  env={**env, "PYTHONUNBUFFERED": unbuffered}, text=True,
+                                  timeout=120)
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        assert read(out) == read(tmp_path / "c.csv")
+
+
+def test_only_the_cli_entry_freezes_the_collector(tmp_path):
+    # cli() moves the import-time heap to the permanent generation; main(),
+    # which tests and the benchmark call in-process, leaves it as it was
+    script = ("import gc, sys\n"
+              "from ofdmclip import cli\n"
+              "before = gc.get_freeze_count()\n"
+              "sys.argv = ['ofdmclip', *sys.argv[1:]]\n"
+              "try:\n"
+              "    cli.cli()\n"
+              "except SystemExit as exc:\n"
+              "    print(before, gc.get_freeze_count(), exc.code)\n")
+    argv = ["ccdf", "--symbols", "20", "--workers", "2"]
+    done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "a.csv")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    before, after, code = map(int, done.stdout.split("\n")[-2].split())
+    assert before == 0 and after > 0 and code == 0
+    frozen = gc.get_freeze_count()
+    run(tmp_path, *argv, "--out", str(tmp_path / "b.csv"))
+    assert gc.get_freeze_count() == frozen
+    assert read(tmp_path / "a.csv") == read(tmp_path / "b.csv")
 
 
 def test_lowest_snr_point_runs_clean(tmp_path):
