@@ -44,9 +44,7 @@ import numpy as np
 # b cleared, its non-zero terms are the samples to scale: only they are
 # gathered, scaled, written back and given a new magnitude.  A sample at
 # bordered flat index i of row r sits at flat index i - pad * (2 * r + 1) in
-# x; the one index array is turned into x's and back in place, so while the
-# gathered samples are alive the scatter holds only them, their gains and
-# that array.
+# x; the scatter keeps both index arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -90,23 +88,13 @@ def peak_suppress(x, mag, thresh, w) -> int:
     b[:, :pad] = 0.0
     b[:, pad + n:] = 0.0
     at = np.flatnonzero(b != 0.0)  # a bool mask: flatnonzero on floats is far slower
-    gain = b.reshape(-1)[at]
+    gain = 1.0 - np.minimum(b.reshape(-1)[at], 1.0)
     del b
-    np.minimum(gain, 1.0, out=gain)
-    np.subtract(1.0, gain, out=gain)
-    row = at // width
-    at -= np.add(np.multiply(row, 2 * pad, out=row), pad, out=row)  # now flat indices in x
-    del row
-    flat = x.reshape(-1)
-    y = flat[at]
+    in_x = at - (at // width * 2 + 1) * pad
+    y = x.reshape(-1)[in_x]
     y *= gain
-    flat[at] = y
-    np.abs(y, out=gain)
-    del y
-    row = at // n
-    at += np.add(np.multiply(row, 2 * pad, out=row), pad, out=row)  # bordered indices again
-    del row
-    mag.reshape(-1)[at] = gain
+    x.reshape(-1)[in_x] = y
+    mag.reshape(-1)[at] = np.abs(y, out=gain)
     return peaks.size
 
 

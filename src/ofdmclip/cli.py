@@ -7,7 +7,7 @@ atomically — a failed run never leaves a partial CSV behind.
 
 Exit codes: 0 success, 2 usage error, 3 CSV write error, 4 numeric, memory or worker error.
 A run whose stdout is closed before it prints its notes still exits 0: the
-CSV is written by then.
+CSV is written by then.  So does ``--help`` with stdout closed (see ``cli``).
 """
 from __future__ import annotations
 
@@ -225,12 +225,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        print("\n".join(notes), flush=True)
-    except BrokenPipeError:
-        # stdout's reader left after the CSV was written: still a success.  With
-        # stdout on /dev/null, its flush at shutdown raises nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print("\n".join(notes))
     return EXIT_OK
 
 
@@ -240,6 +235,18 @@ def cli() -> None:
     permanent generation, so no collection traverses them again: not those at
     interpreter shutdown, nor those of forked children, which then leave the
     parent's pages shared (README, Performance).  Only this entry freezes:
-    ``main()`` leaves an in-process caller's collector as it was."""
+    ``main()`` leaves an in-process caller's collector as it was.
+
+    stdout is flushed before the exit, so a reader that left early shows
+    here, in the print of the notes (stdout unbuffered) or in this flush (the
+    notes, or the help text argparse printed before its SystemExit).  Either
+    way the process exits 0, as a run's CSV is written by then, and stdout
+    goes to /dev/null, so the flush at shutdown raises nothing either."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        try:
+            sys.exit(main())
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

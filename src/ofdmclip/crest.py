@@ -54,11 +54,11 @@ def _clip_gain(clip_ratio_db) -> float:
     try:
         with np.errstate(over="ignore"):
             gain = 10.0 ** (clip_ratio_db / 20.0)
-    except OverflowError:
+    except (OverflowError, TypeError):  # TypeError: not a number, such as "3" or None
         gain = np.inf
     if not (np.isfinite(gain) and gain > 0.0):
         raise ValueError(f"clip_ratio_db must give a finite, positive gain "
-                         f"10**(dB/20), got {clip_ratio_db}")
+                         f"10**(dB/20), got {clip_ratio_db!r}")
     return gain
 
 

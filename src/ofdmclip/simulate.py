@@ -20,17 +20,20 @@ rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
 workers) rows, ``workers`` capped at the usable CPUs.  The data bits are
 drawn once per span of whole blocks (``_span_blocks``), so one Philox pass
 serves ~21 blocks with no temporary larger than a block; only the span's
-labels outlive the draw.  ``_block`` takes its rows' labels and synthesizes them once, runs
-every crest config on one work copy of them (each crest step in place), and
-for SER draws its noise, takes one FFT, in place in the transmitted rows,
-and tests the in-band bins plus each SNR point's scaling of the one noise
-draw against the sent levels, with no demap.  Every temporary is at most
-block-sized, whatever the run, the configs or N*L.  Serial runs
-(one worker, one CPU, one block or no ``os.fork``) go block by block in this
-process; otherwise the blocks are cut into one contiguous share per worker,
-each run in a child forked for it (``_fork``, loaded only then) and sent
-back pickled through a pipe, in index order; no run imports
-``concurrent.futures`` or ``multiprocessing``.  Before either,
+labels outlive the draw.  ``_block`` takes its rows' labels, synthesizes
+them once and, for SER, draws their noise once.  Then one loop runs each
+crest config on one work copy of the rows (each crest step in place) and
+measures that config before the next: its PAPR, or its symbol errors, from
+one FFT, in place in the transmitted rows (a copy where the config left the
+synthesized rows as they were), and a test of the in-band bins plus each SNR
+point's scaling of the one noise draw against the sent levels, with no
+demap.  Every temporary is at most block-sized, whatever the run, the
+configs or N*L.  Serial runs (one worker, one CPU, one block or no
+``os.fork``) go block by block in this process; otherwise the blocks are
+cut into one contiguous share per worker, each run in a child forked for
+it (``_fork``, loaded only then) and sent back pickled through a pipe, in
+index order; no run imports ``concurrent.futures`` or
+``multiprocessing``.  Before either,
 ``_run_blocks`` frees one three-block allocation, which raises glibc's
 malloc thresholds for the process and the children it forks, so no block
 frees memory the next one faults back in.
@@ -46,7 +49,7 @@ import os
 import numpy as np
 
 from . import _kernels
-from .crest import ClipConfig, _check_configs, _rcf_rows
+from .crest import _check_configs, _rcf_rows
 from .metrics import _mean_power, papr_db
 from .modulation import _integral, bits_to_labels, constellation
 from .transform import OfdmConfig, analyze, extract_inband, synthesize
@@ -172,14 +175,12 @@ def _error_masks(bins, labels, axes, z, scales):
         yield err
 
 
-def _symbol_errors(tx, labels, ofdm, snr_db, seed, lo) -> np.ndarray:
-    """Symbol errors of the transmitted rows ``tx`` (symbols lo, lo+1, ...) at
-    every SNR point: one FFT, in place in ``tx``, then each point's error test
-    on the in-band bins plus that point's scaling of the symbols' noise."""
+def _symbol_errors(tx, labels, ofdm, snr_db, z) -> np.ndarray:
+    """Symbol errors of the transmitted rows ``tx`` at every SNR point: one
+    FFT, in place in ``tx``, then each point's error test on the in-band bins
+    plus that point's scaling of the symbols' noise ``z``."""
     power = _mean_power(tx, "SNR")[:, None]
     bins = extract_inband(analyze(tx, out=tx), ofdm.n_subcarriers)
-    z = (np.zeros_like(bins) if np.isposinf(snr_db).all()
-         else _normals(seed, lo, lo + len(bins), ofdm.n_subcarriers))
     scales = (np.sqrt(power / 10.0 ** (snr / 10.0) / 2.0) for snr in snr_db)
     masks = _error_masks(bins, labels, constellation(ofdm.mod_order).axes, z, scales)
     return np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
@@ -202,17 +203,33 @@ def _span_blocks(ofdm: OfdmConfig) -> int:
 
 
 def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
-    """One block, the symbols lo, lo+1, ... with constellation ``labels``,
-    synthesized once: the PAPR rows of every crest config, shape (configs,
-    rows), or (with an SNR grid) the symbol errors of the one config at every
-    point."""
+    """One block, the symbols lo, lo+1, ... with constellation ``labels``:
+    synthesized once and, with an SNR grid, its noise drawn once (none when
+    every point is +inf).  Each crest config is run and measured before the
+    next: one row per config, of its PAPR, shape (configs, rows), or of its
+    symbol errors at every point, shape (configs, points)."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
-    if snr_db is None:
-        return np.stack([papr_db(_rcf_rows(x, cfg, ofdm)) for cfg in clip_cfgs])
-    return _symbol_errors(_rcf_rows(x, clip_cfgs[0], ofdm), labels, ofdm, snr_db, seed, lo)
+    z = (None if snr_db is None else np.zeros(labels.shape, dtype=np.complex128)
+         if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(x), ofdm.n_subcarriers))
+    out = []
+    for cfg in clip_cfgs:
+        tx = _rcf_rows(x, cfg, ofdm)
+        # the receiver's FFT runs in place, so never in the synthesized rows
+        out.append(papr_db(tx) if z is None else
+                   _symbol_errors(tx.copy() if tx is x else tx, labels, ofdm, snr_db, z))
+        del tx  # freed before the next config's clip loop copies x
+    return np.stack(out)
 
 
-def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int):
+def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int):
+    """Every block's result in symbol order, each with a leading config axis,
+    and whether the caller asked for that axis.  ``clip_cfg`` follows the
+    drivers' one rule: a list or tuple holds the configs and asks for the
+    axis; one config or ``None`` stands alone and does not."""
+    many = isinstance(clip_cfg, (list, tuple))
+    clip_cfgs = tuple(clip_cfg) if many else (clip_cfg,)
+    if not clip_cfgs:
+        raise ValueError("clip_cfg must hold at least one crest config")
     _check_configs(ofdm, *(cfg for cfg in clip_cfgs if cfg is not None))
     _check_run(n_symbols, seed, workers)
     # blocks are cut for the children that run them, at most one per CPU
@@ -242,10 +259,10 @@ def _run_blocks(ofdm, clip_cfgs, snr_db, n_symbols: int, seed: int, workers: int
     blocks = -(-n_symbols // rows)
     n = min(workers, blocks)
     if n == 1:
-        return run(0, n_symbols)
+        return run(0, n_symbols), many
     from . import _fork  # only a parallel run loads the fork runner
     cuts = [min(rows * (blocks * k // n), n_symbols) for k in range(n + 1)]
-    return _fork.fork_shares(run, list(zip(cuts, cuts[1:])))
+    return _fork.fork_shares(run, list(zip(cuts, cuts[1:]))), many
 
 
 def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
@@ -253,27 +270,27 @@ def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
     """PAPR (dB) of ``n_symbols`` random OFDM symbols, in symbol order.
 
     ``clip_cfg`` is a ``ClipConfig``, or ``None`` for the unclipped signal,
-    and gives a 1-D array.  A sequence of them gives one row per config: the
-    symbols are drawn and synthesized once and every config runs on them,
+    and gives a 1-D array.  A list or tuple of them gives one row per config:
+    the symbols are drawn and synthesized once and every config runs on them,
     so each row is byte-equal to the single-config call.
     """
-    many = isinstance(clip_cfg, (list, tuple))
-    clip_cfgs = tuple(clip_cfg) if many else (clip_cfg,)
-    if not clip_cfgs:
-        raise ValueError("need at least one crest config")
-    out = np.concatenate(_run_blocks(ofdm, clip_cfgs, None, n_symbols, seed, workers), axis=1)
+    blocks, many = _run_blocks(ofdm, clip_cfg, None, n_symbols, seed, workers)
+    out = np.concatenate(blocks, axis=1)
     return out if many else out[0]
 
 
-def ser_errors(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db,
-               n_symbols: int, seed: int, workers: int = 1):
+def ser_errors(ofdm: OfdmConfig, clip_cfg, snr_db, n_symbols: int, seed: int,
+               workers: int = 1):
     """Total erroneous constellation symbols over ``n_symbols`` OFDM symbols.
 
     A scalar ``snr_db`` gives an ``int``.  A 1-D grid gives an int64 array
     with one count per point, each equal to the scalar call at that point:
     clipping and the receiver's FFT run once per symbol, and the symbol's
     in-band noise is drawn once and scaled to every point.  An empty grid
-    raises ValueError.
+    raises ValueError.  ``clip_cfg`` is read as ``papr_samples`` reads it: a
+    list or tuple of configs adds a leading config axis, each row equal to
+    the single-config call, and the symbols and their noise are drawn once
+    for all of them.
     """
     grid = np.asarray(snr_db, dtype=float)
     if grid.ndim > 1:
@@ -281,6 +298,6 @@ def ser_errors(ofdm: OfdmConfig, clip_cfg: ClipConfig | None, snr_db,
     if grid.size == 0:
         raise ValueError("need at least one SNR point")
     _check_snr(grid)
-    counts = np.sum(_run_blocks(ofdm, (clip_cfg,), grid.reshape(-1), n_symbols, seed,
-                                workers), axis=0)
-    return int(counts[0]) if grid.ndim == 0 else counts
+    blocks, many = _run_blocks(ofdm, clip_cfg, grid.reshape(-1), n_symbols, seed, workers)
+    counts = np.sum(blocks, axis=0).reshape(-1, *grid.shape)
+    return counts if many else counts[0] if grid.ndim else int(counts[0])

@@ -9,7 +9,7 @@ every kind.
 """
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +38,10 @@ class WindowKind:
     def __post_init__(self):
         if self.name not in WINDOW_NAMES:
             raise ValueError(f"unknown window {self.name!r}; choose one of {WINDOW_NAMES}")
-        # np.kaiser divides by np.i0(beta), which overflows near 713
-        if not (math.isfinite(self.beta) and 0.0 <= self.beta < _KAISER_MAX_BETA):
-            raise ValueError(f"kaiser beta must be in [0, {_KAISER_MAX_BETA:g}), got {self.beta}")
+        # np.kaiser divides by np.i0(beta), which overflows near 713; the
+        # range leaves out NaN and inf
+        if not (isinstance(self.beta, numbers.Real) and 0.0 <= self.beta < _KAISER_MAX_BETA):
+            raise ValueError(f"kaiser beta must be in [0, {_KAISER_MAX_BETA:g}), got {self.beta!r}")
 
 
 def as_window_kind(kind) -> WindowKind:

@@ -303,20 +303,22 @@ def test_module_entry_point_exit_codes(tmp_path):
                     "--symbols", "200", "--out", str(tmp_path / "r.csv"))
     assert done.returncode == 4 and "numeric error" in done.stderr
     assert not (tmp_path / "r.csv").exists()
-    # stdout a pipe whose reader is gone before the notes are printed, with
-    # stdout unbuffered (print raises) and buffered (the flush does)
+    # stdout a pipe whose reader is gone before the notes or the help text
+    # are printed, with stdout unbuffered (print raises) and buffered (the
+    # flush does)
     for unbuffered in ("1", ""):
         out = tmp_path / f"bp{unbuffered}.csv"
-        r, w = os.pipe()
-        os.close(r)
-        try:
-            done = subprocess.run([sys.executable, "-m", "ofdmclip", "ccdf", "--symbols", "20",
-                                   "--out", str(out)], stdout=w, stderr=subprocess.PIPE,
-                                  env={**env, "PYTHONUNBUFFERED": unbuffered}, text=True,
-                                  timeout=120)
-        finally:
-            os.close(w)
-        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        for argv in (["ccdf", "--symbols", "20", "--out", str(out)], ["--help"],
+                     ["ccdf", "--help"]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                done = subprocess.run([sys.executable, "-m", "ofdmclip", *argv], stdout=w,
+                                      stderr=subprocess.PIPE, text=True, timeout=120,
+                                      env={**env, "PYTHONUNBUFFERED": unbuffered})
+            finally:
+                os.close(w)
+            assert (done.returncode, done.stderr) == (0, ""), (argv, done.stderr)
         assert read(out) == read(tmp_path / "c.csv")
 
 

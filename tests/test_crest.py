@@ -575,7 +575,8 @@ def test_clip_config_validation():
         with pytest.raises(ValueError, match="clip_ratio_db"):
             ClipConfig(clip_ratio_db=ratio)
     for field, value in (("iterations", 2.5), ("iterations", 2.0), ("iterations", "2"),
-                         ("window_len", 11.0), ("window_len", None)):
+                         ("window_len", 11.0), ("window_len", None),
+                         ("clip_ratio_db", "3"), ("clip_ratio_db", None)):
         with pytest.raises(ValueError, match=field):
             ClipConfig(**{field: value})
     assert ClipConfig(iterations=np.int64(2), window_len=np.int32(5)).iterations == 2

@@ -255,7 +255,9 @@ def test_wrong_config_types_fail_before_any_block(monkeypatch):
     for bad in ("cf", 3.0, [None, "cf"], (ClipConfig(), ClipConfig)):
         with pytest.raises(ValueError, match="clip_cfg"):
             papr_samples(OFDM, bad, 10, seed=1, workers=2)
-    for bad in ("cf", [ClipConfig()], (None,)):
+    # ser_errors reads its configs as papr_samples does: [ClipConfig()] and
+    # (None,) are sequences of one config
+    for bad in ("cf", [None, "cf"], ()):
         with pytest.raises(ValueError, match="clip_cfg"):
             ser_errors(OFDM, bad, GRID, 10, seed=1)
     # a config of the wrong type fails at the boundary, not as an AttributeError
@@ -267,12 +269,26 @@ def test_wrong_config_types_fail_before_any_block(monkeypatch):
 
 
 def test_config_sequence_rows_equal_single_config_calls():
+    # None and iterations=0 leave the synthesized rows themselves, which the
+    # SER receiver's in-place FFT must not reach: configs follow both
     cfgs = [ClipConfig(3.0, 3, "none"), ClipConfig(3.0, 3, "cf"), None,
-            ClipConfig(3.0, 3, "pw", "flattop", 31), ClipConfig(iterations=0)]
-    rows = papr_samples(OFDM, cfgs, 1100, seed=6, workers=2)
-    assert rows.shape == (len(cfgs), 1100)
-    for row, cfg in zip(rows, cfgs):
-        assert row.tobytes() == papr_samples(OFDM, cfg, 1100, seed=6).tobytes()
+            ClipConfig(3.0, 3, "pw", "flattop", 31), ClipConfig(iterations=0),
+            ClipConfig(3.0, 2, "cf")]
+    papr = [papr_samples(OFDM, cfg, 1100, seed=6).tobytes() for cfg in cfgs]
+    ser = [ser_errors(OFDM, cfg, GRID, 1100, seed=6).tolist() for cfg in cfgs]
+    at_7 = [ser_errors(OFDM, cfg, 7.0, 1100, seed=6) for cfg in cfgs]
+    for workers in (1, 2):
+        rows = papr_samples(OFDM, cfgs, 1100, seed=6, workers=workers)
+        assert rows.shape == (len(cfgs), 1100)
+        assert [row.tobytes() for row in rows] == papr
+        counts = ser_errors(OFDM, cfgs, GRID, 1100, seed=6, workers=workers)
+        assert counts.shape == (len(cfgs), GRID.size) and counts.dtype == np.int64
+        assert counts.tolist() == ser
+        points = ser_errors(OFDM, tuple(cfgs), 7.0, 1100, seed=6, workers=workers)
+        assert points.shape == (len(cfgs),) and points.tolist() == at_7
+    # the two unclipped rows: equal, and error-free without noise
+    assert ser[2] == ser[4] and ser[2][list(GRID).index(np.inf)] == 0
+    assert ser_errors(OFDM, [None, None], GRID, 1100, seed=6).tolist() == [ser[2]] * 2
 
 
 @pytest.mark.parametrize("block, workers, span", [
@@ -284,12 +300,12 @@ def test_results_do_not_depend_on_block_or_workers(monkeypatch, block, workers, 
     # bit draw: one, or every block of a share (None keeps the engine's)
     cfgs = (None, ClipConfig(3.0, 2, "cf"), ClipConfig(3.0, 2, "pw"))
     papr = papr_samples(OFDM, cfgs, 300, seed=9)
-    ser = ser_errors(OFDM, cfgs[2], GRID, 300, seed=9)
+    ser = ser_errors(OFDM, cfgs, GRID, 300, seed=9)
     monkeypatch.setattr(simulate, "_BLOCK_SAMPLES", block * OFDM.n_samples)
     if span is not None:
         monkeypatch.setattr(simulate, "_span_blocks", lambda ofdm: span)
     assert papr_samples(OFDM, cfgs, 300, seed=9, workers=workers).tobytes() == papr.tobytes()
-    assert ser_errors(OFDM, cfgs[2], GRID, 300, seed=9, workers=workers).tolist() == ser.tolist()
+    assert ser_errors(OFDM, cfgs, GRID, 300, seed=9, workers=workers).tolist() == ser.tolist()
 
 
 @pytest.mark.parametrize("ofdm, n_symbols", [

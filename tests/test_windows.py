@@ -122,8 +122,9 @@ def test_window_kind_validation():
         WindowKind("kaiser", beta=-1.0)
     with pytest.raises(ValueError):
         WindowKind("kaiser", beta=float("inf"))
-    # np.kaiser divides by np.i0(beta), which overflows near 713
-    for beta in (700.0, 1e9):
+    # np.kaiser divides by np.i0(beta), which overflows near 713; a beta
+    # that is not a number fails the same way
+    for beta in (700.0, 1e9, "5", None):
         with pytest.raises(ValueError, match="beta"):
             WindowKind("kaiser", beta=beta)
     assert np.isfinite(window(WindowKind("kaiser", beta=699.0), 11)).all()
