@@ -10,6 +10,9 @@ The caller passes the magnitudes in, as the interior of a bordered buffer
 ``crest`` keeps one such buffer per crest config and block and writes |x|
 into it once; ``peak_suppress`` rewrites the magnitudes of the samples it
 scales, so the interior stays |x| from one clip-loop iteration to the next.
+It returns the number of samples its peak search found above the threshold,
+the count ``crest.rcf`` reports for the pass, so the clip loop's stop rule
+and its report read the one decision.
 """
 from __future__ import annotations
 
@@ -49,21 +52,22 @@ import numpy as np
 
 
 def _peaks(m, a):
-    """Flat indices of the peaks in the bordered magnitudes ``m``, in
-    ascending order.  Only samples above the row threshold are looked at;
-    the rare candidates that start a plateau are followed to its end."""
+    """(flat indices of the peaks in the bordered magnitudes ``m``, in
+    ascending order; the number of samples above their row threshold).  Only
+    those samples are looked at; the rare candidates that start a plateau
+    are followed to its end."""
     flat = m.reshape(-1)
-    at = np.flatnonzero(m > a[:, None])
-    v = flat[at]
-    rising = flat[at - 1] < v
-    at, v = at[rising], v[rising]
+    above = np.flatnonzero(m > a[:, None])
+    v = flat[above]
+    rising = flat[above - 1] < v
+    at, v, above = above[rising], v[rising], above.size  # frees the index array here
     right = flat[at + 1]  # the sample after the plateau each candidate starts
     plateau = np.flatnonzero(right == v)
     if plateau.size:
         # the first j >= at with m[j + 1] != m[j]: a border at the latest
         changes = np.flatnonzero(flat[1:] != flat[:-1])
         right[plateau] = flat[changes[np.searchsorted(changes, at[plateau])] + 1]
-    return at[right < v]
+    return at[right < v], above
 
 
 def peak_suppress(x, mag, thresh, w) -> int:
@@ -72,13 +76,15 @@ def peak_suppress(x, mag, thresh, w) -> int:
     border columns hold -1 and pad >= max(1, min(half, n - 1)), per-row
     thresholds ``thresh`` > 0 and window coefficients ``w`` (odd length).
     Rewrites the magnitudes of the samples it scales, so the interior of
-    ``mag`` stays |x|.  Returns the number of peaks."""
+    ``mag`` stays |x|.  Returns the number of samples above their row's
+    threshold before the call, 0 exactly when there is no peak: a row with a
+    sample above it always has one, its leftmost maximum."""
     n = x.shape[1]
     width = mag.shape[1]
     pad = (width - n) // 2
     half = (w.size - 1) // 2
     reach = min(half, pad)  # no shift past it lands inside the row
-    peaks = _peaks(mag, thresh)
+    peaks, above = _peaks(mag, thresh)
     if not peaks.size:
         return 0
     depth = 1.0 - thresh[peaks // width] / mag.reshape(-1)[peaks]
@@ -95,7 +101,7 @@ def peak_suppress(x, mag, thresh, w) -> int:
     y *= gain
     x.reshape(-1)[in_x] = y
     mag.reshape(-1)[at] = np.abs(y, out=gain)
-    return peaks.size
+    return above
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,14 @@ then an in-place core (``_clip``, ``_oob_filter``, ``_kernels.peak_suppress``)
 that checks nothing.  One clip loop, ``_clip_loop``, serves the Monte Carlo
 drivers and ``rcf``: it checks its rows and levels once, in
 ``threshold_from_ratio``, then runs only the cores on one work copy per crest
-config and yields the rows after each pass.  The drivers keep the last rows;
-``rcf`` builds its ClipReport from every pass.  A clip scales by a/|x| <= 1,
-the OOB filter and a peak-window gain keep finite rows finite, and a row a
-pass erases is caught by the PAPR or power measurement.
+config and yields the rows after each pass, with the count of samples
+above A that the pass's core found before it: ``_clip`` and
+``_kernels.peak_suppress`` both decide "above A" on the |x| they read and
+return that count, so no caller decides it again.  The drivers keep the
+last rows; ``rcf`` builds its ClipReport from every pass, summing the
+counts.  A clip scales by a/|x| <= 1, the OOB filter and a peak-window
+gain keep finite rows finite, and a row a pass erases is caught by the
+PAPR or power measurement.
 
 The peak window reads |x| from a float buffer whose rows carry -1 border
 columns (``_border``), so the peak search needs no row-end bookkeeping.  A
@@ -43,7 +47,8 @@ import numpy as np
 from . import _kernels
 from .metrics import _mean_power, papr_db
 from .modulation import _integral
-from .transform import OfdmConfig, _check_length, _check_oversample, analyze, synthesize
+from .transform import (MAX_ROW_SAMPLES, OfdmConfig, _check_length, _check_oversample,
+                        analyze, synthesize)
 from .windows import WindowKind, as_window_kind, window
 
 STRATEGIES = ("none", "cf", "pw")
@@ -62,9 +67,13 @@ def _clip_gain(clip_ratio_db) -> float:
     return gain
 
 
-def _check_window_len(window_len, what: str) -> None:
-    if _integral(window_len, what) < 1 or window_len % 2 == 0:
-        raise ValueError(f"{what} must be odd and >= 1, got {window_len}")
+def _check_window_len(window_len, what: str) -> int:
+    # a peak window reaches at most 2 * n - 1 samples of a row of n; the cap is
+    # 16 MiB of coefficients, the size of a longest row's complex samples
+    cap = 2 * MAX_ROW_SAMPLES + 1
+    if not 1 <= (length := _integral(window_len, what)) <= cap or length % 2 == 0:
+        raise ValueError(f"{what} must be odd, >= 1 and at most {cap}, got {window_len}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -92,11 +101,13 @@ class ClipReport:
 
     ``per_iteration_papr_db`` holds the PAPR after each of the config's
     iterations, and ``clipped_sample_count`` sums, over them, the samples
-    above the level A before each.  An iteration the clip loop skips (every
-    ``none`` pass after the first, and every ``pw`` pass after one that
-    windowed no peak) repeats the last PAPR and counts 0.  That is exact: a
-    clip leaves no sample above A, and a row with a sample above A always
-    has a peak, its leftmost maximum, so such a pass would change no bit.
+    above the level A before each, as counted by the clip or peak-window
+    core that decided on them (``_clip_loop``).  An iteration the clip loop
+    skips (every ``none`` pass after the first, and every ``pw`` pass from
+    the first that finds no sample above A) repeats the last PAPR and
+    counts 0.  That is exact: a clip leaves no sample above A, and a row
+    with a sample above A always has a peak, its leftmost maximum, so such
+    a pass would change no bit.
     With iterations=0 the array holds the unclipped PAPR once.
     """
 
@@ -119,42 +130,32 @@ def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np
 
 def _work_rows(signal, a, window_len=None):
     """``clip``'s and ``peak_window_suppress``'s boundary check: a work copy x, |x|
-    and levels (..., 1); a scalar, a level not > 0 or NaN or inf raise ValueError.
-    Given a ``window_len``, |x| is the interior of a bordered buffer (``_border``)."""
+    and one level per row; a scalar, a level not > 0 or NaN or inf raise ValueError.
+    Given a ``window_len``, |x| is ``_border``'s buffer, with |x| in its interior."""
     x = np.array(signal, dtype=np.complex128, order="C")
     if x.ndim == 0:
         raise ValueError("signal needs rows of samples, got a scalar")
-    mag = np.abs(x) if window_len is None else _abs_into(x, _border(x, window_len))
+    mag = np.abs(x) if window_len is None else _border(x, window_len)[0]
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
     # max propagates NaN and inf, so one reduction checks every sample
     if not np.isfinite(mag.max(initial=0.0)):
         raise ValueError("signal must be finite (no NaN or inf samples)")
-    return x, mag, np.broadcast_to(a, x.shape[:-1])[..., None]
+    return x, mag, np.broadcast_to(a, x.shape[:-1])
 
 
-def _border(x: np.ndarray, window_len: int) -> np.ndarray:
-    """The peak search's float buffer for |x| as rows: (rows, n + 2 * pad) with
-    pad = max(1, min(window_len // 2, n - 1)), its border columns -1, the row
-    ends ``_kernels.peak_suppress`` reads."""
+def _border(x: np.ndarray, window_len: int):
+    """|x| as rows in the peak search's float buffer (rows, n + 2 * pad), with
+    pad = max(1, min(window_len // 2, n - 1)) and its border columns -1, the
+    row ends ``_kernels.peak_suppress`` reads: the buffer, and its (rows, n)
+    interior, which is np.abs(x) bit for bit."""
     n = x.shape[-1]
     pad = max(1, min(window_len // 2, n - 1))
-    return np.full((math.prod(x.shape[:-1]), n + 2 * pad), -1.0)
-
-
-def _interior(mag: np.ndarray, n: int) -> np.ndarray:
-    """The (rows, n) interior of the bordered buffer ``mag``, or all of a plain
-    (rows, n) one."""
-    pad = (mag.shape[1] - n) // 2
-    return mag[:, pad:pad + n]
-
-
-def _abs_into(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """np.abs(x) into the interior of the bordered buffer ``mag``; returns mag."""
-    n = x.shape[-1]
-    np.abs(x.reshape(mag.shape[0], n), out=_interior(mag, n))
-    return mag
+    mag = np.full((math.prod(x.shape[:-1]), n + 2 * pad), -1.0)
+    inner = mag[:, pad:pad + n]
+    np.abs(x.reshape(mag.shape[0], n), out=inner)
+    return mag, inner
 
 
 def clip(signal: np.ndarray, a) -> np.ndarray:
@@ -166,14 +167,17 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    return _clip(*_work_rows(signal, a))
+    x, mag, a = _work_rows(signal, a)
+    _clip(x, mag, a)
+    return x
 
 
-def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """``clip`` in place on ``x``, given mag = |x| and levels (..., 1); no checks."""
-    at = np.flatnonzero(mag > level)
+def _clip(x: np.ndarray, mag: np.ndarray, a: np.ndarray) -> int:
+    """``clip`` in place on ``x``, given mag = |x| and the levels ``a``, one per
+    row; no checks.  Returns the number of samples it found above their level."""
+    at = np.flatnonzero(mag > a[..., None])
     if at.size:
-        limit = level.reshape(-1)[at // x.shape[-1]]
+        limit = a.reshape(-1)[at // x.shape[-1]]
         flat = x.reshape(-1)
         xo = flat[at]
         scale = limit / mag.reshape(-1)[at]
@@ -184,7 +188,7 @@ def _clip(x: np.ndarray, mag: np.ndarray, level: np.ndarray) -> np.ndarray:
             w[bad] = xo[bad] * scale[bad]
             bad = bad[np.abs(w[bad]) > limit[bad]]
         flat[at] = w
-    return x
+    return at.size
 
 
 def oob_filter(signal: np.ndarray, n_subcarriers: int, oversample: int) -> np.ndarray:
@@ -220,10 +224,9 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     lobes may locally amplify).  Samples whose envelope is 0 come back
     unchanged, bit for bit.
     """
-    _check_window_len(window_len, "window length")
-    window_len = int(window_len)
-    x, mag, level = _work_rows(signal, a, window_len)
-    _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, level.reshape(-1),
+    window_len = _check_window_len(window_len, "window length")
+    x, mag, a = _work_rows(signal, a, window_len)
+    _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, a.reshape(-1),
                            _coefficients(as_window_kind(kind), window_len))
     return x
 
@@ -246,10 +249,13 @@ def _check_configs(ofdm, *clip_cfgs) -> None:
         raise ValueError(f"clip_cfg must be a ClipConfig, got {bad[0]!r}")
 
 
-def _clip_loop(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
-    """The clip loop on the rows ``x0`` (rows, n): yields (rows, levels) after
-    each pass, every pass run in place on one copy of ``x0``, with the levels
-    (rows, 1) taken once from |x0| by threshold_from_ratio and its checks.
+def _clip_loop(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
+    """The clip loop on the rows ``x0`` (rows, n), no pass for ``cfg`` None:
+    yields (rows, above) after each pass, every pass run in place on one
+    copy of ``x0``, with the levels A (rows,) taken once from |x0| by
+    threshold_from_ratio and its checks.  ``above`` is the count of samples
+    above A before the pass, as the pass's core (``_clip`` or
+    ``_kernels.peak_suppress``) found them.
 
     A pass is a peak window (``pw``), or a clip followed, for ``cf``, by the
     OOB filter.  ``pw`` keeps |x| in a bordered buffer that each window
@@ -257,35 +263,34 @@ def _clip_loop(x0: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     from, and take a fresh one on every later pass.  A hard clip is a
     bit-exact no-op on its own output (see ``clip``), so ``none`` runs one
     pass whatever the iterations.  ``pw`` stops before yielding a pass that
-    windowed no peak: such a pass changes no bit, and every later one would
-    find the same |x| and window nothing again.  ``cf``'s OOB filter rewrites
-    the low bits on every pass, so it runs every one."""
-    if cfg.iterations == 0:
+    found no sample above A: it had no peak, so it changed no bit, and every
+    later one would find the same |x| and window nothing again.  ``cf``'s
+    OOB filter rewrites the low bits on every pass, so it runs every one."""
+    if cfg is None or cfg.iterations == 0:
         return
     pw = cfg.strategy == "pw"
-    mag = _abs_into(x0, _border(x0, cfg.window_len)) if pw else np.abs(x0)
-    a = threshold_from_ratio(_interior(mag, x0.shape[-1]), cfg.clip_ratio_db)
-    level = a[:, None]
+    mag, inner = _border(x0, cfg.window_len) if pw else (np.abs(x0),) * 2
+    a = threshold_from_ratio(inner, cfg.clip_ratio_db)
     x = x0.copy()
     for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
         if pw:
-            if not _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len)):
+            above = _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len))
+            if not above:
                 return
         else:
-            _clip(x, np.abs(x) if mag is None else mag, level)
+            above = _clip(x, np.abs(x) if mag is None else mag, a)
             mag = None  # stale after the clip
             if cfg.strategy == "cf":
                 _oob_filter(x, ofdm.n_subcarriers)
-        yield x, level
+        yield x, above
 
 
 def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
     """The Monte Carlo drivers' crest reduction of the rows ``x0``: the rows
     after the clip loop's last pass, or ``x0`` itself when no pass ran."""
     x = x0
-    if cfg is not None:
-        for x, _ in _clip_loop(x0, cfg, ofdm):
-            pass
+    for x, _ in _clip_loop(x0, cfg, ofdm):
+        pass
     return x
 
 
@@ -305,11 +310,11 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
         raise ValueError("symbol must be finite (no NaN or inf bins)")
     x = synthesize(symbol, ofdm.oversample)
     papr = [papr_db(x)]
-    count, before = 0, x.reshape(1, -1)
-    for rows, level in _clip_loop(before, cfg, ofdm):
-        count += int(np.count_nonzero(np.abs(before) > level))
-        papr.append(papr_db(rows[0]))
-        x, before = rows[0], rows.copy()
+    count = 0
+    for rows, above in _clip_loop(x.reshape(1, -1), cfg, ofdm):
+        count += above
+        x = rows[0]
+        papr.append(papr_db(x))
     # the passes the loop skipped repeat the last PAPR and clip nothing
     per_iter = np.full(max(cfg.iterations, 1), papr[-1])
     per_iter[:len(papr) - 1] = papr[1:]

@@ -25,9 +25,9 @@ them once and, for SER, draws their noise once.  Then one loop runs each
 crest config on one work copy of the rows (each crest step in place) and
 measures that config before the next: its PAPR, or its symbol errors, from
 one FFT, in place in the transmitted rows (a copy where the config left the
-synthesized rows as they were), and a test of the in-band bins plus each SNR
-point's scaling of the one noise draw against the sent levels, with no
-demap.  Every temporary is at most block-sized, whatever the run, the
+synthesized rows as they were and a later config reads them), and a test
+of the in-band bins plus each SNR point's scaling of the one noise draw
+against the sent levels, with no demap.  Every temporary is at most block-sized, whatever the run, the
 configs or N*L.  Serial runs (one worker, one CPU, one block or no
 ``os.fork``) go block by block in this process; otherwise the blocks are
 cut into one contiguous share per worker, each run in a child forked for
@@ -212,11 +212,12 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     z = (None if snr_db is None else np.zeros(labels.shape, dtype=np.complex128)
          if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(x), ofdm.n_subcarriers))
     out = []
-    for cfg in clip_cfgs:
+    for k, cfg in enumerate(clip_cfgs, 1):
         tx = _rcf_rows(x, cfg, ofdm)
-        # the receiver's FFT runs in place, so never in the synthesized rows
-        out.append(papr_db(tx) if z is None else
-                   _symbol_errors(tx.copy() if tx is x else tx, labels, ofdm, snr_db, z))
+        # the receiver's FFT runs in place: in the synthesized rows only when
+        # no later config reads them (by position, as a config may repeat)
+        out.append(papr_db(tx) if z is None else _symbol_errors(
+            tx.copy() if tx is x and k < len(clip_cfgs) else tx, labels, ofdm, snr_db, z))
         del tx  # freed before the next config's clip loop copies x
     return np.stack(out)
 

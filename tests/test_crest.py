@@ -9,7 +9,9 @@ from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
                       constellation, embed_spectrum, oob_filter, papr_db, papr_samples,
                       peak_window_suppress, rcf, synthesize, threshold_from_ratio, window)
 from ofdmclip import _kernels, crest, simulate
+from ofdmclip.cli import main
 from ofdmclip.crest import _clip, _work_rows
+from ofdmclip.transform import MAX_ROW_SAMPLES
 from oracles import clip_oracle
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -148,9 +150,10 @@ def test_clip_matches_per_sample_oracle(rng):
         strided = np.empty((2 * x.shape[0],) + x.shape[1:], complex)[::2]
         strided[...] = x
         assert clip(strided, a).tobytes() == ref.tobytes(), name
-        # the private step, in place on the boundary check's copy
+        # the private step, in place on the boundary check's copy, counts the
+        # samples above their row's level
         inplace, mag, level = _work_rows(x, a)
-        assert _clip(inplace, mag, level) is inplace
+        assert _clip(inplace, mag, level) == np.count_nonzero(np.abs(x) > np.asarray(a)[..., None])
         assert inplace.tobytes() == ref.tobytes(), name
     assert steps > 0  # the nudge was exercised
 
@@ -463,11 +466,11 @@ def test_pw_block_takes_one_dense_abs_per_config(monkeypatch):
     # window after that rewrites only the magnitudes of the samples it scales
     fills = []
 
-    def abs_into(x, mag, _abs_into=crest._abs_into):
+    def border(x, window_len, _border=crest._border):
         fills.append(1)
-        return _abs_into(x, mag)
+        return _border(x, window_len)
 
-    monkeypatch.setattr(crest, "_abs_into", abs_into)
+    monkeypatch.setattr(crest, "_border", border)
     passes = count_passes(monkeypatch, "pw")
     cfgs = [ClipConfig(3.0, 5, "pw", name) for name in ("hann", "kaiser", "flattop")]
     rows = simulate._BLOCK_SAMPLES // OFDM.n_samples
@@ -506,6 +509,47 @@ def test_rcf_report_equals_public_steps(rng, monkeypatch, strategy, name):
         assert ran == asked
     else:
         assert 0 < ran < asked  # the loop did leave early
+
+
+def loop_counts(x0, cfg, ofdm):
+    """The counts ``crest._clip_loop`` yields for the rows ``x0``, each checked
+    against the samples above A in this test's own copy of the rows before
+    that pass."""
+    a = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
+    before, counts = x0.copy(), []
+    for rows, above in crest._clip_loop(x0, cfg, ofdm):
+        assert above == np.count_nonzero(np.abs(before) > a)
+        counts.append(above)
+        before = rows.copy()
+    if cfg.strategy == "pw" and len(counts) < cfg.iterations:
+        assert not (np.abs(before) > a).any()  # pw left the loop with nothing above A
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from(("none", "cf", "pw")),
+       name=st.sampled_from(WINDOW_NAMES), half=st.integers(0, 30),
+       rows=st.integers(1, 5), n=st.integers(1, 40), cr_db=st.floats(-3.0, 9.0),
+       iterations=st.integers(0, 6), ofdm=st.sampled_from([OfdmConfig(2, 1), OfdmConfig(4, 2),
+                                                           OfdmConfig(8, 4)]))
+def test_clip_loop_counts_the_samples_above_a(seed, strategy, name, half, rows, n, cr_db,
+                                              iterations, ofdm):
+    # each pass's count comes from its core, on the |x| it decides on, and
+    # rcf's clipped_sample_count sums them; windows longer than the row and
+    # flattop, whose gains may exceed 1, included.  cf's OOB filter takes
+    # rows of N * L samples.
+    rng = np.random.default_rng(seed)
+    cfg = ClipConfig(cr_db, iterations, strategy, name, 2 * half + 1)
+    n = ofdm.n_samples if strategy == "cf" else n
+    x0 = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    x0[:, 1::7] = complex(-0.0, -0.0)
+    before = x0.tobytes()
+    loop_counts(x0, cfg, ofdm)
+    assert x0.tobytes() == before
+    symbol = rng.standard_normal(ofdm.n_subcarriers) + 1j * rng.standard_normal(ofdm.n_subcarriers)
+    x = synthesize(symbol, ofdm.oversample).reshape(1, -1)
+    _, report = rcf(symbol, cfg, ofdm)
+    assert report.clipped_sample_count == sum(loop_counts(x, cfg, ofdm))
 
 
 def test_rcf_refuses_wrong_config_types(rng):
@@ -559,6 +603,29 @@ def test_rcf_rejects_symbol_erased_by_peak_window(rng):
 def test_rcf_rejects_wrong_symbol_length(rng):
     with pytest.raises(ValueError):
         rcf(np.ones(32, dtype=complex), ClipConfig(), OFDM)
+
+
+def test_window_longer_than_any_row_is_refused(rng, monkeypatch, tmp_path):
+    # a peak window reaches at most 2 * n - 1 samples of a row, so a window
+    # longer than 2 * MAX_ROW_SAMPLES + 1 is refused before any coefficient
+    # is computed
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(crest, "window", no_window)
+    cap = 2 * MAX_ROW_SAMPLES + 1
+    assert ClipConfig(strategy="pw", window_len=cap).window_len == cap
+    for length in (cap + 2, np.int64(cap + 2), 10**9 + 1):
+        with pytest.raises(ValueError, match=f"window_len must be odd, >= 1 and at most {cap}"):
+            ClipConfig(strategy="pw", window_len=length)
+        with pytest.raises(ValueError, match="window length"):
+            peak_window_suppress(random_signal(rng, 64), 1.0, "hann", length)
+    for command in ("ccdf", "window-sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--window-len", str(cap + 2), "--symbols", "10",
+                  "--out", str(tmp_path / "w.csv")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_clip_config_validation():

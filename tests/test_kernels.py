@@ -137,8 +137,11 @@ def test_peak_suppress_matches_scalar_loop(rng, make):
     x, thresh, w = make(rng)
     mag = np.abs(x)
     ref, peaks = peak_suppress_loop(x, mag, thresh, w)
+    above = np.count_nonzero(mag > thresh[:, None])
+    assert bool(above) == bool(peaks)  # a row with a sample above has a peak
+    assert _kernels._peaks(bordered(mag, w), thresh)[0].size == peaks
     y = x.copy()
-    assert _kernels.peak_suppress(y, bordered(mag, w), thresh, w) == peaks  # scales y in place
+    assert _kernels.peak_suppress(y, bordered(mag, w), thresh, w) == above  # scales y in place
     assert np.array_equal(y, ref)
     assert y.tobytes() == ref.tobytes()
 
@@ -156,12 +159,14 @@ def test_peak_window_passes_keep_magnitudes(seed, rows, n, name, half, cr_db):
     x = batch(rng, rows=rows, n=n)
     x[:, 1::7] = complex(-0.0, -0.0)
     w = window(name, 2 * half + 1)
-    mag = crest._abs_into(x, crest._border(x, w.size))
+    mag, _ = crest._border(x, w.size)
     pad = (mag.shape[1] - n) // 2
     thresh = threshold_from_ratio(x, cr_db)
     for _ in range(5):
         ref, peaks = peak_suppress_loop(x, np.abs(x), thresh, w)
-        assert _kernels.peak_suppress(x, mag, thresh, w) == peaks
+        assert _kernels._peaks(mag, thresh)[0].size == peaks
+        above = np.count_nonzero(np.abs(x) > thresh[:, None])
+        assert _kernels.peak_suppress(x, mag, thresh, w) == above
         assert x.tobytes() == ref.tobytes()
         assert mag[:, pad:pad + n].tobytes() == np.abs(x).tobytes()
         assert (mag[:, :pad] == -1.0).all() and (mag[:, pad + n:] == -1.0).all()

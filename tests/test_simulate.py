@@ -636,6 +636,33 @@ def test_clip_loop_copies_only_to_clip(rng):
     assert x.tobytes() == before
 
 
+def test_synthesized_rows_are_copied_only_for_a_later_config(monkeypatch):
+    # the receiver's FFT runs in place: a config that leaves the synthesized
+    # rows as they were gets a copy of them only when a later config reads
+    # them, decided by position, as [None, None] holds one object twice
+    n = simulate._BLOCK_SAMPLES // OFDM.n_samples  # one block
+    synthesized, own_rows = [], []
+
+    def synthesize(*args, _fn=simulate.synthesize):
+        synthesized.append(_fn(*args))
+        return synthesized[-1]
+
+    def symbol_errors(tx, *args, _fn=simulate._symbol_errors):
+        own_rows.append(tx is synthesized[-1])
+        return _fn(tx, *args)
+
+    monkeypatch.setattr(simulate, "synthesize", synthesize)
+    monkeypatch.setattr(simulate, "_symbol_errors", symbol_errors)
+    for cfgs in ([None, None], [ClipConfig(iterations=0), None]):
+        own_rows.clear()
+        counts = ser_errors(OFDM, cfgs, GRID, n, seed=3)
+        assert own_rows == [False, True]
+        for cfg, row in zip(cfgs, counts):
+            own_rows.clear()
+            assert ser_errors(OFDM, cfg, GRID, n, seed=3).tolist() == row.tolist()
+            assert own_rows == [True]  # one config: no later one reads the rows
+
+
 def test_each_peak_window_is_computed_once(monkeypatch):
     # np.kaiser takes ~0.3 ms: the clip loop builds no window per iteration,
     # and the public window() still hands out fresh, writable arrays
