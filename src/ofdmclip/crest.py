@@ -18,15 +18,16 @@ check (a C-contiguous complex128 copy; NaN or inf samples raise ValueError),
 then an in-place core (``_clip``, ``_oob_filter``, ``_kernels.peak_suppress``)
 that checks nothing.  One clip loop, ``_clip_loop``, serves the Monte Carlo
 drivers and ``rcf``: it checks its rows and levels once, in
-``threshold_from_ratio``, then runs only the cores on one work copy per crest
-config and yields the rows after each pass, with the count of samples
-above A that the pass's core found before it: ``_clip`` and
+``threshold_from_ratio``, then runs only the cores, in place in the rows it
+is given, and yields them after each pass, with the count of samples above
+A that the pass's core found before it: ``_clip`` and
 ``_kernels.peak_suppress`` both decide "above A" on the |x| they read and
-return that count, so no caller decides it again.  The drivers keep the
-last rows; ``rcf`` builds its ClipReport from every pass, summing the
-counts.  A clip scales by a/|x| <= 1, the OOB filter and a peak-window
-gain keep finite rows finite, and a row a pass erases is caught by the
-PAPR or power measurement.
+return that count, so no caller decides it again.  It takes no copy: the
+drivers' ``simulate._block`` decides which rows each config works in, and
+``rcf`` gives it its own synthesized row and builds its ClipReport from
+every pass, summing the counts.  A clip scales by a/|x| <= 1, the OOB
+filter and a peak-window gain keep finite rows finite, and a row a pass
+erases is caught by the PAPR or power measurement.
 
 The peak window reads |x| from a float buffer whose rows carry -1 border
 columns (``_border``), so the peak search needs no row-end bookkeeping.  A
@@ -249,13 +250,15 @@ def _check_configs(ofdm, *clip_cfgs) -> None:
         raise ValueError(f"clip_cfg must be a ClipConfig, got {bad[0]!r}")
 
 
-def _clip_loop(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
-    """The clip loop on the rows ``x0`` (rows, n), no pass for ``cfg`` None:
-    yields (rows, above) after each pass, every pass run in place on one
-    copy of ``x0``, with the levels A (rows,) taken once from |x0| by
-    threshold_from_ratio and its checks.  ``above`` is the count of samples
-    above A before the pass, as the pass's core (``_clip`` or
-    ``_kernels.peak_suppress``) found them.
+def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
+    """The clip loop in place in the C-contiguous rows ``x`` (rows, n), no
+    pass for ``cfg`` None: yields (x, above) after each pass, with the levels
+    A (rows,) taken once from the |x| it is given by threshold_from_ratio and
+    its checks.  The caller owns the copy, if one is needed: the drivers'
+    ``_block`` gives a copy only to a config that writes while a later one
+    reads the synthesized rows, and ``rcf`` its own synthesized row.
+    ``above`` is the count of samples above A before the pass, as the pass's
+    core (``_clip`` or ``_kernels.peak_suppress``) found them.
 
     A pass is a peak window (``pw``), or a clip followed, for ``cf``, by the
     OOB filter.  ``pw`` keeps |x| in a bordered buffer that each window
@@ -265,13 +268,14 @@ def _clip_loop(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
     pass whatever the iterations.  ``pw`` stops before yielding a pass that
     found no sample above A: it had no peak, so it changed no bit, and every
     later one would find the same |x| and window nothing again.  ``cf``'s
-    OOB filter rewrites the low bits on every pass, so it runs every one."""
+    OOB filter rewrites the low bits on every pass, so it runs every one.
+    ``cf`` and ``none`` hold their first |x| only until the first clip."""
     if cfg is None or cfg.iterations == 0:
         return
     pw = cfg.strategy == "pw"
-    mag, inner = _border(x0, cfg.window_len) if pw else (np.abs(x0),) * 2
+    mag, inner = _border(x, cfg.window_len) if pw else (np.abs(x),) * 2
     a = threshold_from_ratio(inner, cfg.clip_ratio_db)
-    x = x0.copy()
+    del inner  # for cf and none, mag = None frees |x| after the first clip
     for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
         if pw:
             above = _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len))
@@ -285,11 +289,11 @@ def _clip_loop(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
         yield x, above
 
 
-def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
-    """The Monte Carlo drivers' crest reduction of the rows ``x0``: the rows
-    after the clip loop's last pass, or ``x0`` itself when no pass ran."""
-    x = x0
-    for x, _ in _clip_loop(x0, cfg, ofdm):
+def _rcf_rows(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
+    """The Monte Carlo drivers' crest reduction, in place in the rows ``x``:
+    returns ``x``, after the clip loop's last pass, or as it was when no pass
+    ran.  ``simulate._block`` decides which rows it gets."""
+    for _ in _clip_loop(x, cfg, ofdm):
         pass
     return x
 
@@ -297,9 +301,10 @@ def _rcf_rows(x0: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.nd
 def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     """Synthesize one frequency-domain symbol and run the clip loop on it.
 
-    Returns (time signal, ClipReport).  With iterations=0 the synthesized
-    signal passes through untouched.  NaN or inf bins, an all-zero symbol
-    and configs of the wrong type raise ValueError.
+    Returns (time signal, ClipReport).  The clip loop runs in place in the
+    synthesized signal, so no copy is taken; with iterations=0 it passes
+    through untouched.  NaN or inf bins, an all-zero symbol and configs of
+    the wrong type raise ValueError.
     """
     _check_configs(ofdm, cfg)
     symbol = np.asarray(symbol, dtype=np.complex128)
@@ -311,9 +316,8 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     x = synthesize(symbol, ofdm.oversample)
     papr = [papr_db(x)]
     count = 0
-    for rows, above in _clip_loop(x.reshape(1, -1), cfg, ofdm):
+    for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm):
         count += above
-        x = rows[0]
         papr.append(papr_db(x))
     # the passes the loop skipped repeat the last PAPR and clip nothing
     per_iter = np.full(max(cfg.iterations, 1), papr[-1])

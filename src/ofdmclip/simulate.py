@@ -22,18 +22,19 @@ drawn once per span of whole blocks (``_span_blocks``), so one Philox pass
 serves ~21 blocks with no temporary larger than a block; only the span's
 labels outlive the draw.  ``_block`` takes its rows' labels, synthesizes
 them once and, for SER, draws their noise once.  Then one loop runs each
-crest config on one work copy of the rows (each crest step in place) and
-measures that config before the next: its PAPR, or its symbol errors, from
-one FFT, in place in the transmitted rows (a copy where the config left the
-synthesized rows as they were and a later config reads them), and a test
-of the in-band bins plus each SNR point's scaling of the one noise draw
-against the sent levels, with no demap.  Every temporary is at most block-sized, whatever the run, the
-configs or N*L.  Serial runs (one worker, one CPU, one block or no
-``os.fork``) go block by block in this process; otherwise the blocks are
-cut into one contiguous share per worker, each run in a child forked for
-it (``_fork``, loaded only then) and sent back pickled through a pipe, in
-index order; no run imports ``concurrent.futures`` or
-``multiprocessing``.  Before either,
+crest config and measures it before the next: its PAPR, or its symbol
+errors, from one FFT and a test of the in-band bins plus each SNR point's
+scaling of the one noise draw against the sent levels, with no demap.  The
+clip loop and the receiver's FFT both write in place, in rows chosen by one
+rule: the last config, and for PAPR a config that writes nothing, get the
+synthesized rows themselves; every other config gets one copy.  So a
+one-config block holds its rows once.  Every temporary is at most
+block-sized, whatever the run, the configs or N*L.  Serial runs (one
+worker, one CPU, one block or no ``os.fork``) go block by block in this
+process; otherwise the blocks are cut into one contiguous share per worker,
+each run in a child forked for it (``_fork``, loaded only then) and sent
+back pickled through a pipe, in index order; no run imports
+``concurrent.futures`` or ``multiprocessing``.  Before either,
 ``_run_blocks`` frees one three-block allocation, which raises glibc's
 malloc thresholds for the process and the children it forks, so no block
 frees memory the next one faults back in.
@@ -207,18 +208,21 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     synthesized once and, with an SNR grid, its noise drawn once (none when
     every point is +inf).  Each crest config is run and measured before the
     next: one row per config, of its PAPR, shape (configs, rows), or of its
-    symbol errors at every point, shape (configs, points)."""
+    symbol errors at every point, shape (configs, points).  A config works
+    in a copy of the synthesized rows only when it writes them (a clip pass,
+    or the SER receiver's FFT) and a later config reads them; at 32768
+    samples one ``cf`` config's tracemalloc peak is 2.1 blocks of complex
+    rows (3.4 with a copy for every config)."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     z = (None if snr_db is None else np.zeros(labels.shape, dtype=np.complex128)
          if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(x), ofdm.n_subcarriers))
     out = []
     for k, cfg in enumerate(clip_cfgs, 1):
-        tx = _rcf_rows(x, cfg, ofdm)
-        # the receiver's FFT runs in place: in the synthesized rows only when
-        # no later config reads them (by position, as a config may repeat)
-        out.append(papr_db(tx) if z is None else _symbol_errors(
-            tx.copy() if tx is x and k < len(clip_cfgs) else tx, labels, ofdm, snr_db, z))
-        del tx  # freed before the next config's clip loop copies x
+        # by position, not by config, as one config may repeat
+        copy = k < len(clip_cfgs) and (z is not None or cfg is not None and cfg.iterations > 0)
+        tx = _rcf_rows(x.copy() if copy else x, cfg, ofdm)
+        out.append(papr_db(tx) if z is None else _symbol_errors(tx, labels, ofdm, snr_db, z))
+        del tx  # freed before the next config's copy
     return np.stack(out)
 
 
@@ -240,8 +244,8 @@ def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int)
     # the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).  This
     # freed chunk of three blocks lifts both over a block's temporaries, so
     # they stay on the heap instead of being mapped and faulted in again on
-    # every block; forked children inherit the raised thresholds.  A
-    # peak-window block's heap reaches ~2.1 MiB at 32768 samples, over the
+    # every block; forked children inherit the raised thresholds.  A window
+    # sweep's block peaks at 2047 KiB of arrays at 32768 samples, at the
     # 2 MiB trim threshold that two blocks would give.
     np.empty((3, rows, ofdm.n_samples), dtype=np.complex128)
 

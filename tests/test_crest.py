@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmclip import (WINDOW_NAMES, ClipConfig, OfdmConfig, analyze, clip,
@@ -449,8 +449,8 @@ def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
                 every.append(public_pass(every[-1], a, ClipConfig(cr_db, 8, strategy, name, 9)))
             with monkeypatch.context() as m:
                 passes = count_passes(m, strategy)
-                for k in range(9):
-                    got = crest._rcf_rows(x0, ClipConfig(cr_db, k, strategy, name, 9), OFDM)
+                for k in range(9):  # the loop works in the rows it is given: a copy
+                    got = crest._rcf_rows(x0.copy(), ClipConfig(cr_db, k, strategy, name, 9), OFDM)
                     assert got.tobytes() == every[k].tobytes(), (cr_db, k)
                     asked += k
             ran += len(passes)
@@ -512,12 +512,13 @@ def test_rcf_report_equals_public_steps(rng, monkeypatch, strategy, name):
 
 
 def loop_counts(x0, cfg, ofdm):
-    """The counts ``crest._clip_loop`` yields for the rows ``x0``, each checked
-    against the samples above A in this test's own copy of the rows before
-    that pass."""
+    """The counts ``crest._clip_loop`` yields for the rows ``x0``, which it
+    works in, each checked against the samples above A in this test's own
+    copy of the rows before that pass."""
     a = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     before, counts = x0.copy(), []
     for rows, above in crest._clip_loop(x0, cfg, ofdm):
+        assert rows is x0
         assert above == np.count_nonzero(np.abs(before) > a)
         counts.append(above)
         before = rows.copy()
@@ -532,24 +533,35 @@ def loop_counts(x0, cfg, ofdm):
        rows=st.integers(1, 5), n=st.integers(1, 40), cr_db=st.floats(-3.0, 9.0),
        iterations=st.integers(0, 6), ofdm=st.sampled_from([OfdmConfig(2, 1), OfdmConfig(4, 2),
                                                            OfdmConfig(8, 4)]))
+# a rect window longer than the symbol erases it at CR -1 dB
+@example(seed=23, strategy="pw", name="rect", half=7, rows=1, n=1, cr_db=-1.0, iterations=1,
+         ofdm=OfdmConfig(4, 2))
+@example(seed=0, strategy="pw", name="rect", half=24, rows=1, n=1, cr_db=-1.0, iterations=1,
+         ofdm=OfdmConfig(8, 4))
 def test_clip_loop_counts_the_samples_above_a(seed, strategy, name, half, rows, n, cr_db,
                                               iterations, ofdm):
     # each pass's count comes from its core, on the |x| it decides on, and
     # rcf's clipped_sample_count sums them; windows longer than the row and
     # flattop, whose gains may exceed 1, included.  cf's OOB filter takes
-    # rows of N * L samples.
+    # rows of N * L samples.  The loop works in the rows it is given, so the
+    # random rows go in as a copy, and the synthesized row ends as the
+    # signal rcf returns.
     rng = np.random.default_rng(seed)
     cfg = ClipConfig(cr_db, iterations, strategy, name, 2 * half + 1)
     n = ofdm.n_samples if strategy == "cf" else n
     x0 = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     x0[:, 1::7] = complex(-0.0, -0.0)
-    before = x0.tobytes()
-    loop_counts(x0, cfg, ofdm)
-    assert x0.tobytes() == before
+    loop_counts(x0.copy(), cfg, ofdm)
     symbol = rng.standard_normal(ofdm.n_subcarriers) + 1j * rng.standard_normal(ofdm.n_subcarriers)
     x = synthesize(symbol, ofdm.oversample).reshape(1, -1)
-    _, report = rcf(symbol, cfg, ofdm)
-    assert report.clipped_sample_count == sum(loop_counts(x, cfg, ofdm))
+    counts = loop_counts(x, cfg, ofdm)
+    if not x.any(axis=-1).all():  # a pass erased the symbol: it has no PAPR
+        with pytest.raises(ValueError, match="PAPR must be finite"):
+            rcf(symbol, cfg, ofdm)
+    else:
+        got, report = rcf(symbol, cfg, ofdm)
+        assert got.tobytes() == x[0].tobytes()
+        assert report.clipped_sample_count == sum(counts)
 
 
 def test_rcf_refuses_wrong_config_types(rng):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -624,22 +625,47 @@ def test_clip_loop_runs_no_boundary_check(monkeypatch):
     assert calls == ["_work_rows", "_check_length", "_check_oversample"]
 
 
-def test_clip_loop_copies_only_to_clip(rng):
+def test_clip_loop_works_in_the_rows_it_is_given(rng):
     labels = rng.integers(0, OFDM.mod_order, (2, OFDM.n_subcarriers))
     x = simulate.synthesize(constellation(OFDM.mod_order).points[labels], OFDM.oversample)
     before = x.tobytes()
     for cfg in (None, ClipConfig(iterations=0)):
         assert crest._rcf_rows(x, cfg, OFDM) is x
-    for strategy in STRATEGIES:
-        y = crest._rcf_rows(x, ClipConfig(strategy=strategy), OFDM)
-        assert not np.shares_memory(y, x) and y.tobytes() != before
     assert x.tobytes() == before
+    for strategy in STRATEGIES:
+        rows = x.copy()
+        assert crest._rcf_rows(rows, ClipConfig(strategy=strategy), OFDM) is rows
+        assert rows.tobytes() != before
+
+
+@pytest.mark.parametrize("cfg, snr_db, bound", [(ClipConfig(), None, 2.25),
+                                                (ClipConfig(strategy="none"), None, 2.25),
+                                                (ClipConfig(strategy="pw"), None, 3.0),
+                                                (ClipConfig(), GRID, 2.5)],
+                         ids=["cf", "none", "pw", "ser-cf"])
+def test_one_config_block_holds_its_rows_once(cfg, snr_db, bound):
+    # tracemalloc peak of one block, in blocks of complex rows: a lone config
+    # works in the synthesized rows, and cf and none free the first |x|
+    # after the first clip.  Each bound failed when every config took a copy
+    # (3.43, 3.12, 3.83 and 3.68 blocks).
+    ofdm = OfdmConfig()
+    labels = simulate._draw_labels(ofdm, 1, 0, simulate._BLOCK_SAMPLES // ofdm.n_samples)
+    simulate._block(ofdm, (cfg,), snr_db, 1, 0, labels)  # caches filled first
+    tracemalloc.start()
+    try:
+        simulate._block(ofdm, (cfg,), snr_db, 1, 0, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (labels.shape[0] * ofdm.n_samples * 16) <= bound
 
 
 def test_synthesized_rows_are_copied_only_for_a_later_config(monkeypatch):
-    # the receiver's FFT runs in place: a config that leaves the synthesized
-    # rows as they were gets a copy of them only when a later config reads
-    # them, decided by position, as [None, None] holds one object twice
+    # the clip loop and the receiver's FFT run in place: the last config, and
+    # for PAPR a config that writes nothing, get the synthesized rows
+    # themselves, and every other config one copy; decided by position, as
+    # [None, None] holds one object twice.  Each row of a call still equals
+    # the single-config call.
     n = simulate._BLOCK_SAMPLES // OFDM.n_samples  # one block
     synthesized, own_rows = [], []
 
@@ -647,20 +673,27 @@ def test_synthesized_rows_are_copied_only_for_a_later_config(monkeypatch):
         synthesized.append(_fn(*args))
         return synthesized[-1]
 
-    def symbol_errors(tx, *args, _fn=simulate._symbol_errors):
-        own_rows.append(tx is synthesized[-1])
-        return _fn(tx, *args)
+    def rcf_rows(x, *args, _fn=simulate._rcf_rows):
+        own_rows.append(x is synthesized[-1])
+        return _fn(x, *args)
 
     monkeypatch.setattr(simulate, "synthesize", synthesize)
-    monkeypatch.setattr(simulate, "_symbol_errors", symbol_errors)
-    for cfgs in ([None, None], [ClipConfig(iterations=0), None]):
-        own_rows.clear()
-        counts = ser_errors(OFDM, cfgs, GRID, n, seed=3)
-        assert own_rows == [False, True]
-        for cfg, row in zip(cfgs, counts):
+    monkeypatch.setattr(simulate, "_rcf_rows", rcf_rows)
+    cfg, idle = ClipConfig(), ClipConfig(iterations=0)
+    for cfgs, papr_own, ser_own in (([None, None], [True, True], [False, True]),
+                                    ([idle, None], [True, True], [False, True]),
+                                    ([None, cfg], [True, True], [False, True]),
+                                    ([cfg, cfg], [False, True], [False, True]),
+                                    ([cfg, None], [False, True], [False, True])):
+        for run, own in ((lambda c: papr_samples(OFDM, c, n, seed=3), papr_own),
+                         (lambda c: ser_errors(OFDM, c, GRID, n, seed=3), ser_own)):
             own_rows.clear()
-            assert ser_errors(OFDM, cfg, GRID, n, seed=3).tolist() == row.tolist()
-            assert own_rows == [True]  # one config: no later one reads the rows
+            rows = run(cfgs)
+            assert own_rows == own, cfgs
+            for c, row in zip(cfgs, rows):
+                own_rows.clear()
+                assert run(c).tobytes() == row.tobytes()
+                assert own_rows == [True]  # one config: no later one reads the rows
 
 
 def test_each_peak_window_is_computed_once(monkeypatch):
