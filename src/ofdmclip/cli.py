@@ -1,8 +1,6 @@
 """Experiment runner: CCDF curves, SER sweeps, and window comparisons as CSV.
 
-Config flags default to ``OfdmConfig()`` and ``ClipConfig()``.  A command reads
-the ``OFDMCLIP_`` variable of each of its flags (``--cr-db`` -> ``OFDMCLIP_CR_DB``)
-as that flag's default; explicit flags beat the environment.  Output is written
+Config flags default to ``OfdmConfig()`` and ``ClipConfig()``.  Output is written
 atomically — a failed run never leaves a partial CSV behind.
 
 Exit codes: 0 success, 2 usage error, 3 CSV write error, 4 numeric, memory or worker error.
@@ -27,31 +25,14 @@ from .simulate import _check_run, _check_snr, papr_samples, ser_errors
 from .transform import _OVERSAMPLE_CHOICES, OfdmConfig
 from .windows import _KAISER_MAX_BETA, WINDOW_NAMES, WindowKind
 
-ENV_PREFIX = "OFDMCLIP_"
-
 SWEEP_WINDOWS = ("kaiser", "blackman", "hann", "hamming", "flattop")
 
 # Longest SNR grid ``ser`` accepts; every point is a full SER count.
 MAX_SNR_POINTS = 1000
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: its own flags' ``OFDMCLIP_*`` variables replace their defaults."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        for action in self._actions[1:]:  # [0] is --help
-            name = ENV_PREFIX + action.dest.upper()
-            if (raw := os.environ.get(name)) is not None:
-                try:
-                    action.default = (action.type or str)(raw)
-                except ValueError as exc:
-                    raise argparse.ArgumentTypeError(f"invalid {name}={raw!r}: {exc}")
-        return super().parse_known_args(args, namespace)
 
 
 def _add_common(p: argparse.ArgumentParser, default_out: str, with_strategy: bool = True):
@@ -88,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofdmclip",
         description="OFDM PAPR-reduction experiments (CCDF, SER, window sweep)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ccdf", help="PAPR CCDF of random OFDM symbols")
     _add_common(p, "ccdf.csv")
@@ -185,8 +166,9 @@ def _run_window_sweep(args, parser):
     ofdm, clip_cfg = _configs(args, parser)
     clip_cfgs = [replace(clip_cfg, window=replace(clip_cfg.window, name=name))
                  for name in SWEEP_WINDOWS]
-    # one pass: the unclipped baseline is the last row
-    *swept, baseline = papr_samples(ofdm, clip_cfgs + [None], args.symbols, args.seed,
+    # one pass, the unclipped baseline first: the last config works in the
+    # synthesized rows themselves, which a window writes and the baseline does not
+    baseline, *swept = papr_samples(ofdm, [None] + clip_cfgs, args.symbols, args.seed,
                                     args.workers)
     lines = ["window,mean_papr_db,ccdf3_papr_db"]
     lines += [f"{name},{samples.mean():.6f},{ccdf_point_db(samples):.6f}"
@@ -200,12 +182,7 @@ _COMMANDS = {"ccdf": _run_ccdf, "ser": _run_ser, "window-sweep": _run_window_swe
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:  # a malformed OFDMCLIP_* value
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         lines, notes = _COMMANDS[args.command](args, args.command_parser)
     except OSError as exc:  # nothing is written yet: os.fork or os.pipe failed

@@ -124,18 +124,42 @@ def test_window_sweep(tmp_path):
     assert read(out) == read(out2)
 
 
-def test_env_variable_overrides_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OFDMCLIP_SYMBOLS", "123")
-    out = str(tmp_path / "env.csv")
-    run(tmp_path, "ccdf", "--out", out)
-    assert "(123 symbols)" in capsys.readouterr().out
+def test_window_sweep_runs_the_baseline_first(tmp_path, monkeypatch):
+    # the last config of a block works in the synthesized rows themselves:
+    # with the unclipped baseline first, that is a window, which writes them,
+    # not the baseline, which writes nothing
+    synthesized, calls = [], []
+
+    def synthesize(*args, _fn=simulate.synthesize):
+        synthesized.append(_fn(*args))
+        return synthesized[-1]
+
+    def rcf_rows(x, cfg, *args, _fn=simulate._rcf_rows):
+        calls.append((cfg, x is synthesized[-1]))
+        return _fn(x, cfg, *args)
+
+    monkeypatch.setattr(simulate, "synthesize", synthesize)
+    monkeypatch.setattr(simulate, "_rcf_rows", rcf_rows)
+    run(tmp_path, "window-sweep", "--symbols", "20", "--out", str(tmp_path / "w.csv"))
+    assert len(synthesized) == 1
+    assert [cfg is None for cfg, _ in calls] == [True] + [False] * len(SWEEP_WINDOWS)
+    assert [cfg.window.name for cfg, _ in calls[1:]] == list(SWEEP_WINDOWS)
+    assert [own for _, own in calls] == [True] + [False] * (len(SWEEP_WINDOWS) - 1) + [True]
 
 
-def test_flag_beats_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OFDMCLIP_SYMBOLS", "123")
-    out = str(tmp_path / "env2.csv")
-    run(tmp_path, "ccdf", "--symbols", "77", "--out", out)
-    assert "(77 symbols)" in capsys.readouterr().out
+def test_environment_is_not_read(tmp_path, monkeypatch, capsys):
+    # flags are the only way to set a run: OFDMCLIP_* variables are ignored,
+    # malformed or unsupported ones too
+    out = str(tmp_path / "x.csv")
+    for command in ("ccdf", "ser"):
+        argv = [command, "--symbols", "20", "--out", out]
+        assert main(argv) == 0
+        expected = read(out), capsys.readouterr()
+        with monkeypatch.context() as env:
+            for name, value in (("SYMBOLS", "lots"), ("MOD", "5"), ("SNR_STEP", "lots")):
+                env.setenv("OFDMCLIP_" + name, value)
+            assert main(argv) == 0
+            assert (read(out), capsys.readouterr()) == expected
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -189,30 +213,6 @@ def test_snr_grid_cap_names_step(capsys):
     assert "--snr-step" in err and str(MAX_SNR_POINTS) in err
 
 
-def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OFDMCLIP_SYMBOLS", "lots")
-    assert main(["ccdf", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "OFDMCLIP_SYMBOLS" in capsys.readouterr().err
-
-
-def test_env_value_applies_only_to_its_command(tmp_path, monkeypatch, capsys):
-    # ccdf has no --snr-step, so it never reads OFDMCLIP_SNR_STEP
-    monkeypatch.setenv("OFDMCLIP_SNR_STEP", "lots")
-    assert main(["ccdf", "--symbols", "20", "--out", str(tmp_path / "c.csv")]) == 0
-    capsys.readouterr()
-    assert main(["ser", "--symbols", "20", "--out", str(tmp_path / "s.csv")]) == 2
-    assert "OFDMCLIP_SNR_STEP" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_unsupported_env_mod_is_usage_error(tmp_path, monkeypatch):
-    # argparse checks choices on flags only, so OfdmConfig checks the default
-    monkeypatch.setenv("OFDMCLIP_MOD", "5")
-    with pytest.raises(SystemExit) as exc:
-        main(["ccdf", "--symbols", "10", "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize("command", ["ccdf", "ser"])
 def test_erased_symbol_exits_4(tmp_path, capsys, command):
     # a rect peak window of 255 samples on N*L = 256 zeroes whole rows, also
@@ -255,10 +255,7 @@ def test_csv_mode_follows_umask(tmp_path, umask, mode):
 
 
 @pytest.mark.parametrize("command", ["ccdf", "ser", "window-sweep"])
-def test_parser_defaults_are_the_config_defaults(monkeypatch, command):
-    for name in list(os.environ):
-        if name.startswith("OFDMCLIP_"):
-            monkeypatch.delenv(name)
+def test_parser_defaults_are_the_config_defaults(command):
     ofdm, clip = OfdmConfig(), ClipConfig()
     expected = {"n": ofdm.n_subcarriers, "oversample": ofdm.oversample, "mod": ofdm.mod_order,
                 "cr_db": clip.clip_ratio_db, "iterations": clip.iterations,
@@ -278,9 +275,8 @@ def test_parser_defaults_are_the_config_defaults(monkeypatch, command):
 
 
 def subprocess_env():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("OFDMCLIP_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def test_module_entry_point_exit_codes(tmp_path):

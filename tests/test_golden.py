@@ -55,24 +55,20 @@ DIGESTS = {
 
 
 @pytest.fixture
-def clean_env(tmp_path, monkeypatch):
-    """Run in an empty directory, so stdout names a relative path, with no
-    ``OFDMCLIP_*`` variable in effect."""
+def in_tmp(tmp_path, monkeypatch):
+    """Run in an empty directory, so stdout names a relative path."""
     monkeypatch.chdir(tmp_path)
-    for name in list(os.environ):
-        if name.startswith("OFDMCLIP_"):
-            monkeypatch.delenv(name)
     return tmp_path
 
 
 @pytest.mark.parametrize("case", COMMANDS)
-def test_output_bytes_are_golden(clean_env, capsys, case):
+def test_output_bytes_are_golden(in_tmp, capsys, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(COMMANDS[case] + ["--out", "out.csv"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    got = hashlib.sha256((clean_env / "out.csv").read_bytes()
+    got = hashlib.sha256((in_tmp / "out.csv").read_bytes()
                          + captured.out.encode()).hexdigest()
     assert got == DIGESTS[case]
 
@@ -97,7 +93,7 @@ print(json.dumps(digests))
 """
 
 
-def test_output_bytes_are_golden_under_reduced_simd_dispatch(clean_env):
+def test_output_bytes_are_golden_under_reduced_simd_dispatch(in_tmp):
     # numpy picks some kernels (Box-Muller's log1p, cos and sin, complex abs,
     # log10) by CPU feature; with every feature it dispatches above its
     # baseline turned off, the bytes must stay the same
@@ -114,7 +110,7 @@ def test_output_bytes_are_golden_under_reduced_simd_dispatch(clean_env):
     assert json.loads(done.stdout) == DIGESTS
 
 
-def test_erased_symbol_exit_and_message_are_golden(clean_env, capsys):
+def test_erased_symbol_exit_and_message_are_golden(in_tmp, capsys):
     # a rect peak window of 255 samples on N*L = 256 zeroes whole rows; the
     # row is caught after the clip loop, by the PAPR measurement
     with warnings.catch_warnings():
@@ -125,4 +121,4 @@ def test_erased_symbol_exit_and_message_are_golden(clean_env, capsys):
     assert captured.out == ""
     assert captured.err == ("numeric error: PAPR must be finite; an all-zero row or "
                             "NaN or inf samples have none\n")
-    assert not (clean_env / "out.csv").exists()
+    assert not (in_tmp / "out.csv").exists()

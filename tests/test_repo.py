@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ofdmclip"
 # code lines of src/ofdmclip; a change that adds code raises this in its diff
-CODE_LINE_BUDGET = 878
+CODE_LINE_BUDGET = 861
 _LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
 
 
