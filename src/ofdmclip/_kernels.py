@@ -12,7 +12,8 @@ into it once; ``peak_suppress`` rewrites the magnitudes of the samples it
 scales, so the interior stays |x| from one clip-loop iteration to the next.
 It returns the number of samples its peak search found above the threshold,
 the count ``crest.rcf`` reports for the pass, so the clip loop's stop rule
-and its report read the one decision.
+and its report read the one decision.  The first pass's search may be handed
+in: a block's configs share it (see ``crest._clip_loop``).
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def _peaks(m, a):
     return at[right < v], above
 
 
-def peak_suppress(x, mag, thresh, w) -> int:
+def peak_suppress(x, mag, thresh, w, found=None) -> int:
     """Peak-window the C-contiguous rows ``x`` (rows, n) in place, given
     their magnitudes as the interior of ``mag`` (rows, n + 2 * pad), whose
     border columns hold -1 and pad >= max(1, min(half, n - 1)), per-row
@@ -78,13 +79,14 @@ def peak_suppress(x, mag, thresh, w) -> int:
     Rewrites the magnitudes of the samples it scales, so the interior of
     ``mag`` stays |x|.  Returns the number of samples above their row's
     threshold before the call, 0 exactly when there is no peak: a row with a
-    sample above it always has one, its leftmost maximum."""
+    sample above it always has one, its leftmost maximum.  ``found``, when
+    given, is ``_peaks(mag, thresh)``, taken before and not taken again."""
     n = x.shape[1]
     width = mag.shape[1]
     pad = (width - n) // 2
     half = (w.size - 1) // 2
     reach = min(half, pad)  # no shift past it lands inside the row
-    peaks, above = _peaks(mag, thresh)
+    peaks, above = _peaks(mag, thresh) if found is None else found
     if not peaks.size:
         return 0
     depth = 1.0 - thresh[peaks // width] / mag.reshape(-1)[peaks]

@@ -34,8 +34,9 @@ columns (``_border``), so the peak search needs no row-end bookkeeping.  A
 ``pw`` loop allocates that buffer once per block and crest config and writes
 |x| into its interior once, before the first iteration; each peak window
 rescales only the samples its windows reach and rewrites their magnitudes
-there.  The level comes from the same magnitudes, and ``cf`` and ``none``
-clip first with the plain ``np.abs`` the level was taken from.
+there; ``cf`` and ``none`` clip first with a plain ``np.abs``.  A block's
+configs share its first look: the levels, once per clip ratio, and the first
+peak search, once per clip ratio and window length (``_clip_loop``).
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import _kernels
 from .metrics import _mean_power, papr_db
-from .modulation import _integral
+from .modulation import _integral, _is_real
 from .transform import (MAX_ROW_SAMPLES, OfdmConfig, _check_length, _check_oversample,
                         analyze, synthesize)
 from .windows import WindowKind, as_window_kind, window
@@ -56,13 +57,14 @@ STRATEGIES = ("none", "cf", "pw")
 
 
 def _clip_gain(clip_ratio_db) -> float:
-    """The level gain 10**(clip_ratio_db/20); ValueError unless it is finite and > 0."""
+    """The level gain 10**(clip_ratio_db/20), a Python float however the ratio
+    is given; ValueError unless the ratio is a real number and not a bool (so
+    not "3", None, 3+0j or an array), and the gain is finite and > 0."""
     try:
-        with np.errstate(over="ignore"):
-            gain = 10.0 ** (clip_ratio_db / 20.0)
-    except (OverflowError, TypeError):  # TypeError: not a number, such as "3" or None
-        gain = np.inf
-    if not (np.isfinite(gain) and gain > 0.0):
+        gain = 10.0 ** (float(clip_ratio_db) / 20.0) if _is_real(clip_ratio_db) else math.nan
+    except OverflowError:  # an int past the float range, or a gain past it
+        gain = math.inf
+    if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"clip_ratio_db must give a finite, positive gain "
                          f"10**(dB/20), got {clip_ratio_db!r}")
     return gain
@@ -79,7 +81,9 @@ def _check_window_len(window_len, what: str) -> int:
 
 @dataclass(frozen=True)
 class ClipConfig:
-    """Crest-reduction parameters; the CLI reads its defaults from these."""
+    """Crest-reduction parameters; the CLI reads its defaults from these.
+    The ratio is kept as a Python float, so a config hashes and keys the
+    levels its block shares (``_clip_loop``)."""
 
     clip_ratio_db: float = 3.0
     iterations: int = 5
@@ -89,6 +93,7 @@ class ClipConfig:
 
     def __post_init__(self):
         _clip_gain(self.clip_ratio_db)
+        object.__setattr__(self, "clip_ratio_db", float(self.clip_ratio_db))
         _integral(self.iterations, "iterations", 0)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
@@ -121,8 +126,8 @@ class ClipReport:
 def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np.ndarray:
     """A = rms * 10**(clip_ratio_db/20) along the last axis: a float for one
     signal, one level per row for a batch; empty, all-zero or non-finite rows,
-    a ratio whose gain is not finite and positive and a level that underflows
-    to 0 raise ValueError."""
+    a ratio that is not a real number or whose gain is not finite and
+    positive, and a level that underflows to 0 raise ValueError."""
     a = np.sqrt(_mean_power(signal, "clipping threshold")) * _clip_gain(clip_ratio_db)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
@@ -250,35 +255,51 @@ def _check_configs(ofdm, *clip_cfgs) -> None:
         raise ValueError(f"clip_cfg must be a ClipConfig, got {bad[0]!r}")
 
 
-def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
+def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: dict):
     """The clip loop in place in the C-contiguous rows ``x`` (rows, n), no
     pass for ``cfg`` None: yields (x, above) after each pass, with the levels
-    A (rows,) taken once from the |x| it is given by threshold_from_ratio and
-    its checks.  The caller owns the copy, if one is needed: the drivers'
-    ``_block`` gives a copy only to a config that writes while a later one
-    reads the synthesized rows, and ``rcf`` its own synthesized row.
-    ``above`` is the count of samples above A before the pass, as the pass's
-    core (``_clip`` or ``_kernels.peak_suppress``) found them.
+    A (rows,) held fixed: those in ``first``, or taken from the |x| it is
+    given by threshold_from_ratio and its checks.  The caller owns the copy,
+    if one is needed: the drivers' ``_block`` gives a copy only to a config
+    that writes while a later one reads the synthesized rows, and ``rcf`` its
+    own synthesized row.  ``above`` is the count of samples above A before
+    the pass, as the pass's core (``_clip`` or ``_kernels.peak_suppress``)
+    found them.
+
+    ``first`` is the block's first look, shared by its configs and kept
+    read-only: the levels by clip ratio, and the first pass's peak search
+    (peaks, above) by clip ratio and window length.  The loop takes what is
+    not there yet.  That is exact: by ``_block``'s copy rule every config's
+    rows equal the synthesized rows when its loop starts, ``_border``'s
+    interior is np.abs bit for bit, and the first search reads no window
+    (flattop's included).  ``rcf`` gives its one loop an empty dict.
 
     A pass is a peak window (``pw``), or a clip followed, for ``cf``, by the
     OOB filter.  ``pw`` keeps |x| in a bordered buffer that each window
-    updates; ``cf`` and ``none`` clip first with the np.abs the level came
-    from, and take a fresh one on every later pass.  A hard clip is a
-    bit-exact no-op on its own output (see ``clip``), so ``none`` runs one
-    pass whatever the iterations.  ``pw`` stops before yielding a pass that
-    found no sample above A: it had no peak, so it changed no bit, and every
-    later one would find the same |x| and window nothing again.  ``cf``'s
-    OOB filter rewrites the low bits on every pass, so it runs every one.
-    ``cf`` and ``none`` hold their first |x| only until the first clip."""
+    updates; ``cf`` and ``none`` clip first with the np.abs they took, and
+    take a fresh one on every later pass.  A hard clip is a bit-exact no-op
+    on its own output (see ``clip``), so ``none`` runs one pass whatever the
+    iterations.  ``pw`` stops before yielding a pass that found no sample
+    above A: it had no peak, so it changed no bit, and every later one would
+    find the same |x| and window nothing again.  ``cf``'s OOB filter rewrites
+    the low bits on every pass, so it runs every one.  ``cf`` and ``none``
+    hold their first |x| only until the first clip."""
     if cfg is None or cfg.iterations == 0:
         return
     pw = cfg.strategy == "pw"
     mag, inner = _border(x, cfg.window_len) if pw else (np.abs(x),) * 2
-    a = threshold_from_ratio(inner, cfg.clip_ratio_db)
+    if (a := first.get(cfg.clip_ratio_db)) is None:
+        a = first[cfg.clip_ratio_db] = threshold_from_ratio(inner, cfg.clip_ratio_db)
+        a.flags.writeable = False
     del inner  # for cf and none, mag = None frees |x| after the first clip
+    if pw and (found := first.get((cfg.clip_ratio_db, cfg.window_len))) is None:
+        found = first[cfg.clip_ratio_db, cfg.window_len] = _kernels._peaks(mag, a)
+        found[0].flags.writeable = False
     for _ in range(1 if cfg.strategy == "none" else cfg.iterations):
         if pw:
-            above = _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len))
+            above = _kernels.peak_suppress(x, mag, a, _coefficients(cfg.window, cfg.window_len),
+                                           found)
+            found = None  # every later pass searches the rows this one windowed
             if not above:
                 return
         else:
@@ -289,11 +310,12 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig):
         yield x, above
 
 
-def _rcf_rows(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig) -> np.ndarray:
+def _rcf_rows(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: dict) -> np.ndarray:
     """The Monte Carlo drivers' crest reduction, in place in the rows ``x``:
     returns ``x``, after the clip loop's last pass, or as it was when no pass
-    ran.  ``simulate._block`` decides which rows it gets."""
-    for _ in _clip_loop(x, cfg, ofdm):
+    ran.  ``simulate._block`` decides which rows it gets and hands every
+    config the block's one first look, ``first``."""
+    for _ in _clip_loop(x, cfg, ofdm, first):
         pass
     return x
 
@@ -316,7 +338,7 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     x = synthesize(symbol, ofdm.oversample)
     papr = [papr_db(x)]
     count = 0
-    for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm):
+    for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm, {}):
         count += above
         papr.append(papr_db(x))
     # the passes the loop skipped repeat the last PAPR and clip nothing

@@ -14,6 +14,7 @@ tables are written out in ``docs/constellations.md``.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +56,12 @@ def _build_points(m: int) -> np.ndarray:
     i_bits, q_bits = _AXIS_BITS[m]
     pts = (_gray_axis_levels(i_bits)[:, None] + 1j * _gray_axis_levels(q_bits)).ravel()
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a bool, a complex number, an array
+    or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _integral(value, name: str, low=None):

@@ -25,6 +25,7 @@ them once and, for SER, draws their noise once.  Then one loop runs each
 crest config and measures it before the next: its PAPR, or its symbol
 errors, from one FFT and a test of the in-band bins plus each SNR point's
 scaling of the one noise draw against the sent levels, with no demap.  The
+configs share the block's first look, its levels and first peak search.  The
 clip loop and the receiver's FFT both write in place, in rows chosen by one
 rule: the last config, and for PAPR a config that writes nothing, get the
 synthesized rows themselves; every other config gets one copy.  So a
@@ -212,15 +213,17 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     in a copy of the synthesized rows only when it writes them (a clip pass,
     or the SER receiver's FFT) and a later config reads them; at 32768
     samples one ``cf`` config's tracemalloc peak is 2.1 blocks of complex
-    rows (3.4 with a copy for every config)."""
+    rows (3.4 with a copy for every config).  So every config's rows equal the
+    synthesized rows when its clip loop starts, and the configs share one
+    first look, ``first``, freed with the block (``crest._clip_loop``)."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     z = (None if snr_db is None else np.zeros(labels.shape, dtype=np.complex128)
          if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(x), ofdm.n_subcarriers))
-    out = []
+    out, first = [], {}
     for k, cfg in enumerate(clip_cfgs, 1):
         # by position, not by config, as one config may repeat
         copy = k < len(clip_cfgs) and (z is not None or cfg is not None and cfg.iterations > 0)
-        tx = _rcf_rows(x.copy() if copy else x, cfg, ofdm)
+        tx = _rcf_rows(x.copy() if copy else x, cfg, ofdm, first)
         out.append(papr_db(tx) if z is None else _symbol_errors(tx, labels, ofdm, snr_db, z))
         del tx  # freed before the next config's copy
     return np.stack(out)

@@ -9,12 +9,11 @@ every kind.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import _integral
+from .modulation import _integral, _is_real
 
 WINDOW_NAMES = ("rect", "hann", "hamming", "blackman", "kaiser", "flattop")
 
@@ -30,7 +29,8 @@ _KAISER_MAX_BETA = 700.0
 
 @dataclass(frozen=True)
 class WindowKind:
-    """A window selection; ``beta`` only affects the Kaiser window."""
+    """A window selection; ``beta`` only affects the Kaiser window and is kept
+    as a Python float."""
 
     name: str
     beta: float = DEFAULT_KAISER_BETA
@@ -39,9 +39,10 @@ class WindowKind:
         if self.name not in WINDOW_NAMES:
             raise ValueError(f"unknown window {self.name!r}; choose one of {WINDOW_NAMES}")
         # np.kaiser divides by np.i0(beta), which overflows near 713; the
-        # range leaves out NaN and inf
-        if not (isinstance(self.beta, numbers.Real) and 0.0 <= self.beta < _KAISER_MAX_BETA):
+        # range leaves out NaN and inf, and a bool is not a shape parameter
+        if not (_is_real(self.beta) and 0.0 <= self.beta < _KAISER_MAX_BETA):
             raise ValueError(f"kaiser beta must be in [0, {_KAISER_MAX_BETA:g}), got {self.beta!r}")
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 def as_window_kind(kind) -> WindowKind:

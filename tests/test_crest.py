@@ -450,7 +450,8 @@ def test_clip_loop_exit_equals_every_step(rng, monkeypatch, strategy, name):
             with monkeypatch.context() as m:
                 passes = count_passes(m, strategy)
                 for k in range(9):  # the loop works in the rows it is given: a copy
-                    got = crest._rcf_rows(x0.copy(), ClipConfig(cr_db, k, strategy, name, 9), OFDM)
+                    cfg = ClipConfig(cr_db, k, strategy, name, 9)
+                    got = crest._rcf_rows(x0.copy(), cfg, OFDM, {})
                     assert got.tobytes() == every[k].tobytes(), (cr_db, k)
                     asked += k
             ran += len(passes)
@@ -517,7 +518,7 @@ def loop_counts(x0, cfg, ofdm):
     copy of the rows before that pass."""
     a = threshold_from_ratio(x0, cfg.clip_ratio_db)[:, None]
     before, counts = x0.copy(), []
-    for rows, above in crest._clip_loop(x0, cfg, ofdm):
+    for rows, above in crest._clip_loop(x0, cfg, ofdm, {}):
         assert rows is x0
         assert above == np.count_nonzero(np.abs(before) > a)
         counts.append(above)
@@ -660,6 +661,26 @@ def test_clip_config_validation():
             ClipConfig(**{field: value})
     assert ClipConfig(iterations=np.int64(2), window_len=np.int32(5)).iterations == 2
     assert ClipConfig(window="kaiser").window.name == "kaiser"
+
+
+def test_clip_config_ratio_is_a_checked_float():
+    # a bool, a complex number or an array is not a clip ratio; a config keeps
+    # a Python float, so it hashes and keys the levels a block shares
+    for ratio in (True, np.True_, 3 + 0j, np.complex128(3), np.array(3.0), np.array([3.0]),
+                  [3.0]):
+        with pytest.raises(ValueError, match="clip_ratio_db"):
+            ClipConfig(clip_ratio_db=ratio)
+        with pytest.raises(ValueError, match="clip_ratio_db"):
+            threshold_from_ratio(np.ones(8, dtype=complex), ratio)
+    for ratio in (3, np.int64(3), np.float32(3.0), np.float64(3.0)):
+        cfg = ClipConfig(clip_ratio_db=ratio)
+        assert type(cfg.clip_ratio_db) is float and cfg == ClipConfig(3.0)
+        assert hash(cfg) == hash(ClipConfig(3.0))
+    # a float32 ratio gives the float64 gain of its value, not a float32 one
+    assert type(crest._clip_gain(np.float32(3.0))) is float
+    assert crest._clip_gain(np.float32(3.0)) == 10.0 ** (3.0 / 20.0)
+    with pytest.raises(ValueError, match="clip_ratio_db"):
+        ClipConfig(clip_ratio_db=10 ** 400)  # past the float range
 
 
 # --- memory layout ---------------------------------------------------------------

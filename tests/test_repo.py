@@ -8,8 +8,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ofdmclip"
-# code lines of src/ofdmclip; a change that adds code raises this in its diff
-CODE_LINE_BUDGET = 861
+# code lines of src/ofdmclip; a change that adds code raises this in its diff.
+# 861 -> 871: a block's configs share one first look (its levels and first
+# peak search), and ClipConfig and WindowKind check and keep float parameters
+CODE_LINE_BUDGET = 871
 _LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
 
 

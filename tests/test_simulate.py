@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ofdmclip import (SUPPORTED_ORDERS, WINDOW_NAMES, ClipConfig, OfdmConfig, WindowKind,
                       constellation, papr_samples, ser_errors, window)
 from ofdmclip import _fork, _kernels, crest, simulate
+from ofdmclip.cli import SWEEP_WINDOWS
 from ofdmclip.modulation import bits_to_labels
 from oracles import reference_bits, reference_papr_db, reference_ser_errors
 
@@ -290,6 +291,75 @@ def test_config_sequence_rows_equal_single_config_calls():
     # the two unclipped rows: equal, and error-free without noise
     assert ser[2] == ser[4] and ser[2][list(GRID).index(np.inf)] == 0
     assert ser_errors(OFDM, [None, None], GRID, 1100, seed=6).tolist() == [ser[2]] * 2
+
+
+def sweep_configs(**changes):
+    """The window sweep's configs, the unclipped baseline first, as the CLI builds them."""
+    return [None] + [ClipConfig(**{"strategy": "pw", "window": name, **changes})
+                     for name in SWEEP_WINDOWS]
+
+
+def pw(cr_db=3.0, name="hann", window_len=11):
+    return ClipConfig(cr_db, 3, "pw", name, window_len)
+
+
+# configs of one call share a block's first look: its levels by clip ratio,
+# its first peak search by clip ratio and window length
+SHARING = {
+    "sweep": sweep_configs(),
+    "ratios": [pw(3.0), pw(1.0), pw(3.0, "kaiser")],
+    "lengths": [pw(window_len=11), pw(window_len=31), pw(3.0, "flattop", 31)],
+    "cf-and-pw": [ClipConfig(3.0, 3, "cf"), pw(3.0), ClipConfig(3.0, 3, "none"), pw(1.0)],
+}
+
+
+@pytest.mark.parametrize("cfgs", SHARING.values(), ids=SHARING.keys())
+def test_configs_sharing_a_first_look_equal_single_config_calls(cfgs):
+    # flattop's negative lobes give gains above 1, so its later passes find
+    # peaks the first look did not; each row still equals its lone call
+    papr = [papr_samples(OFDM, cfg, 600, seed=4).tobytes() for cfg in cfgs]
+    ser = [ser_errors(OFDM, cfg, GRID, 600, seed=4).tolist() for cfg in cfgs]
+    for workers in (1, 2):
+        rows = papr_samples(OFDM, cfgs, 600, seed=4, workers=workers)
+        assert [row.tobytes() for row in rows] == papr
+        assert ser_errors(OFDM, cfgs, GRID, 600, seed=4, workers=workers).tolist() == ser
+
+
+@pytest.mark.parametrize("cfgs, levels, searches", [
+    (sweep_configs(), 1, 1),
+    (sweep_configs() + [pw(1.0), pw(window_len=31), pw(1.0, "kaiser")], 2, 3),
+], ids=["sweep", "mixed"])
+def test_a_block_takes_one_first_look(monkeypatch, cfgs, levels, searches):
+    # the levels once per clip ratio, the first peak search once per clip
+    # ratio and window length, whatever the configs' windows; a first search
+    # is one that reads the synthesized rows' own magnitudes
+    ofdm = OfdmConfig()
+    labels = simulate._draw_labels(ofdm, 1, 0, simulate._BLOCK_SAMPLES // ofdm.n_samples)
+    x = simulate.synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
+    taken, first = [], []
+
+    def threshold_from_ratio(signal, ratio, _fn=crest.threshold_from_ratio):
+        taken.append(ratio)
+        return _fn(signal, ratio)
+
+    def peaks(m, a, _fn=_kernels._peaks):
+        pad = (m.shape[1] - x.shape[1]) // 2
+        if np.array_equal(m[:, pad:m.shape[1] - pad], np.abs(x)):
+            first.append((hash(a.tobytes()), m.shape))
+        return _fn(m, a)
+
+    def peak_suppress(rows, mag, a, w, found=None, _fn=_kernels.peak_suppress):
+        # what every config reads of the first look, it cannot write
+        assert not a.flags.writeable and (found is None or not found[0].flags.writeable)
+        return _fn(rows, mag, a, w, found)
+
+    monkeypatch.setattr(crest, "threshold_from_ratio", threshold_from_ratio)
+    monkeypatch.setattr(_kernels, "_peaks", peaks)
+    monkeypatch.setattr(_kernels, "peak_suppress", peak_suppress)
+    simulate._block(ofdm, cfgs, None, 1, 0, labels)
+    assert len(taken) == len(set(taken)) == levels
+    assert set(taken) == {cfg.clip_ratio_db for cfg in cfgs if cfg is not None}
+    assert len(set(first)) == len(first) == searches
 
 
 @pytest.mark.parametrize("block, workers, span", [
@@ -630,11 +700,11 @@ def test_clip_loop_works_in_the_rows_it_is_given(rng):
     x = simulate.synthesize(constellation(OFDM.mod_order).points[labels], OFDM.oversample)
     before = x.tobytes()
     for cfg in (None, ClipConfig(iterations=0)):
-        assert crest._rcf_rows(x, cfg, OFDM) is x
+        assert crest._rcf_rows(x, cfg, OFDM, {}) is x
     assert x.tobytes() == before
     for strategy in STRATEGIES:
         rows = x.copy()
-        assert crest._rcf_rows(rows, ClipConfig(strategy=strategy), OFDM) is rows
+        assert crest._rcf_rows(rows, ClipConfig(strategy=strategy), OFDM, {}) is rows
         assert rows.tobytes() != before
 
 
@@ -658,6 +728,25 @@ def test_one_config_block_holds_its_rows_once(cfg, snr_db, bound):
     finally:
         tracemalloc.stop()
     assert peak / (labels.shape[0] * ofdm.n_samples * 16) <= bound
+
+
+def test_a_sweep_block_holds_one_copy_at_a_time():
+    # tracemalloc peak of one window-sweep block, in blocks of complex rows:
+    # the synthesized rows, one window's copy and its bordered magnitudes and
+    # temporaries (3.997 blocks, 2047 KiB at 32768 samples).  The shared first
+    # look adds only the levels and the first peaks; a copy of the bordered
+    # magnitudes kept for every window would read about 4.5.
+    ofdm = OfdmConfig()
+    labels = simulate._draw_labels(ofdm, 1, 0, simulate._BLOCK_SAMPLES // ofdm.n_samples)
+    cfgs = sweep_configs()
+    simulate._block(ofdm, cfgs, None, 1, 0, labels)  # caches filled first
+    tracemalloc.start()
+    try:
+        simulate._block(ofdm, cfgs, None, 1, 0, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (labels.shape[0] * ofdm.n_samples * 16) <= 4.25
 
 
 def test_synthesized_rows_are_copied_only_for_a_later_config(monkeypatch):

@@ -123,9 +123,12 @@ def test_window_kind_validation():
     with pytest.raises(ValueError):
         WindowKind("kaiser", beta=float("inf"))
     # np.kaiser divides by np.i0(beta), which overflows near 713; a beta
-    # that is not a number fails the same way
-    for beta in (700.0, 1e9, "5", None):
+    # that is not a real number, or is a bool, fails the same way
+    for beta in (700.0, 1e9, 10 ** 400, "5", None, True, np.True_, 5 + 0j, np.array(5.0)):
         with pytest.raises(ValueError, match="beta"):
             WindowKind("kaiser", beta=beta)
     assert np.isfinite(window(WindowKind("kaiser", beta=699.0), 11)).all()
     assert WindowKind("kaiser").beta == 5.0
+    for beta in (5, np.int64(5), np.float32(5.0)):
+        assert type(WindowKind("kaiser", beta).beta) is float
+        assert WindowKind("kaiser", beta) == WindowKind("kaiser")
