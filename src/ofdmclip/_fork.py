@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 
 
 def _child(run, lo, hi, sink):
@@ -28,12 +29,14 @@ def _child(run, lo, hi, sink):
         os._exit(1)
 
 
-def fork_shares(run, shares) -> list:
-    """The lists ``run(lo, hi)`` of ``shares`` in share order, each share run
-    in a child forked for it.  A child's exception is raised here, and so is
-    a RuntimeError for a child that ends without a result.  Every child is
+def fork_shares(run, shares, fold, out):
+    """``out`` with ``out = fold(out, lo, run(lo, hi))`` done for each share in
+    share order, each run in a child forked for it.  Each child is reaped and
+    its result unpickled as soon as its pipe is read, so this process holds
+    one pickle at a time.  A child's exception is raised here, and so is a
+    RuntimeError for a child that ends without a result.  Every child is
     reaped, after a kill if this process raises or is interrupted first."""
-    pids, pipes = [], []
+    pids, pipes = [], []  # the children not yet reaped, and every pipe
     try:
         for lo, hi in shares:
             r, w = os.pipe()
@@ -42,23 +45,22 @@ def fork_shares(run, shares) -> list:
                 if (pid := os.fork()) == 0:
                     _child(run, lo, hi, sink)
             pids.append(pid)
-        sent = [pipe.read() for pipe in pipes]
-    except BaseException:
-        import signal
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        for (lo, hi), pipe in zip(shares, pipes):
+            data = pipe.read()
+            # reaped first: a child killed mid-write leaves bytes, not a result
+            end = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if end or not data:  # a negative code is the signal that ended it
+                raise RuntimeError(f"the child for share {lo}..{hi - 1} ended with code "
+                                   f"{end} and no result")
+            result, data = pickle.loads(data), None
+            if isinstance(result, BaseException):
+                raise result
+            out = fold(out, lo, result)
     finally:
         for pipe in pipes:
             pipe.close()
-        ends = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    out = []
-    for (lo, hi), data, end in zip(shares, sent, ends):
-        if end or not data:  # a negative code is the signal that ended it
-            raise RuntimeError(f"the child for share {lo}..{hi - 1} ended with code {end} "
-                               "and no result")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        out += result
+        for pid in pids:  # only when this process raised: kill what is left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return out

@@ -81,8 +81,7 @@ def peak_suppress(x, mag, thresh, w, found=None) -> int:
     threshold before the call, 0 exactly when there is no peak: a row with a
     sample above it always has one, its leftmost maximum.  ``found``, when
     given, is ``_peaks(mag, thresh)``, taken before and not taken again."""
-    n = x.shape[1]
-    width = mag.shape[1]
+    n, width = x.shape[1], mag.shape[1]
     pad = (width - n) // 2
     half = (w.size - 1) // 2
     reach = min(half, pad)  # no shift past it lands inside the row
@@ -93,8 +92,7 @@ def peak_suppress(x, mag, thresh, w, found=None) -> int:
     shift = np.arange(reach, -reach - 1, -1)[:, None]  # d - half, d descending
     b = np.bincount((peaks + shift).ravel(), (depth * w[half + shift]).ravel(),
                     minlength=mag.size).reshape(mag.shape)
-    b[:, :pad] = 0.0
-    b[:, pad + n:] = 0.0
+    b[:, :pad] = b[:, pad + n:] = 0.0
     at = np.flatnonzero(b != 0.0)  # a bool mask: flatnonzero on floats is far slower
     gain = 1.0 - np.minimum(b.reshape(-1)[at], 1.0)
     del b
@@ -142,6 +140,11 @@ def nearest_labels(points, i_levels, q_levels):
 # ---------------------------------------------------------------------------
 
 def papr_db_rows(x):
-    p = np.square(x.real)
-    p += np.square(x.imag)
-    return 10.0 * np.log10(p.max(axis=-1) * x.shape[-1] / p.sum(axis=-1))
+    """10*log10(max / mean) of re**2 + im**2 along the last axis, the im**2
+    added a chunk of rows (8192 samples) at a time."""
+    n = x.shape[-1]
+    re, im = x.real.reshape(-1, n), x.imag.reshape(-1, n)
+    p = np.square(re)
+    for k in range(0, len(p), step := max(1, 8192 // n)):
+        p[k:k + step] += np.square(im[k:k + step])
+    return (10.0 * np.log10(p.max(axis=-1) * n / p.sum(axis=-1))).reshape(x.shape[:-1])

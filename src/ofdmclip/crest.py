@@ -34,7 +34,8 @@ columns (``_border``), so the peak search needs no row-end bookkeeping.  A
 ``pw`` loop allocates that buffer once per block and crest config and writes
 |x| into its interior once, before the first iteration; each peak window
 rescales only the samples its windows reach and rewrites their magnitudes
-there; ``cf`` and ``none`` clip first with a plain ``np.abs``.  A block's
+there.  ``cf`` and ``none`` take their levels from the rows themselves and
+a fresh ``np.abs`` inside each clip.  A block's
 configs share its first look: the levels, once per clip ratio, and the first
 peak search, once per clip ratio and window length (``_clip_loop``).
 """
@@ -158,10 +159,9 @@ def _border(x: np.ndarray, window_len: int):
     interior, which is np.abs(x) bit for bit."""
     n = x.shape[-1]
     pad = max(1, min(window_len // 2, n - 1))
-    mag = np.full((math.prod(x.shape[:-1]), n + 2 * pad), -1.0)
-    inner = mag[:, pad:pad + n]
-    np.abs(x.reshape(mag.shape[0], n), out=inner)
-    return mag, inner
+    mag = np.empty((math.prod(x.shape[:-1]), n + 2 * pad))
+    mag[:, :pad] = mag[:, pad + n:] = -1.0  # only the border: np.abs fills the rest
+    return mag, np.abs(x.reshape(len(mag), n), out=mag[:, pad:pad + n])
 
 
 def clip(signal: np.ndarray, a) -> np.ndarray:
@@ -178,20 +178,22 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     return x
 
 
-def _clip(x: np.ndarray, mag: np.ndarray, a: np.ndarray) -> int:
-    """``clip`` in place on ``x``, given mag = |x| and the levels ``a``, one per
-    row; no checks.  Returns the number of samples it found above their level."""
+def _clip(x: np.ndarray, mag: np.ndarray | None, a: np.ndarray) -> int:
+    """``clip`` in place on ``x``, given mag = |x| (None: taken here and freed
+    before the rescale) and the levels ``a``, one per row; no checks.
+    Returns the number of samples it found above their level."""
+    mag = np.abs(x) if mag is None else mag
     at = np.flatnonzero(mag > a[..., None])
+    over, mag = mag.reshape(-1)[at], None  # |x| of the samples above their level
     if at.size:
         limit = a.reshape(-1)[at // x.shape[-1]]
+        scale = limit / over
         flat = x.reshape(-1)
-        xo = flat[at]
-        scale = limit / mag.reshape(-1)[at]
-        w = xo * scale
+        w = flat[at] * scale
         bad = np.flatnonzero(np.abs(w) > limit)
         while bad.size:
             scale[bad] = np.nextafter(scale[bad], 0.0)
-            w[bad] = xo[bad] * scale[bad]
+            w[bad] = flat[at[bad]] * scale[bad]
             bad = bad[np.abs(w[bad]) > limit[bad]]
         flat[at] = w
     return at.size
@@ -276,22 +278,22 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: d
 
     A pass is a peak window (``pw``), or a clip followed, for ``cf``, by the
     OOB filter.  ``pw`` keeps |x| in a bordered buffer that each window
-    updates; ``cf`` and ``none`` clip first with the np.abs they took, and
-    take a fresh one on every later pass.  A hard clip is a bit-exact no-op
+    updates; ``cf`` and ``none`` take a fresh |x| inside every clip
+    (``_clip``) and hold none between passes.  A hard clip is a bit-exact no-op
     on its own output (see ``clip``), so ``none`` runs one pass whatever the
     iterations.  ``pw`` stops before yielding a pass that found no sample
     above A: it had no peak, so it changed no bit, and every later one would
     find the same |x| and window nothing again.  ``cf``'s OOB filter rewrites
-    the low bits on every pass, so it runs every one.  ``cf`` and ``none``
-    hold their first |x| only until the first clip."""
+    the low bits on every pass, so it runs every one."""
     if cfg is None or cfg.iterations == 0:
         return
     pw = cfg.strategy == "pw"
-    mag, inner = _border(x, cfg.window_len) if pw else (np.abs(x),) * 2
+    # cf and none take the levels from x itself and hold no |x| between passes
+    mag, inner = _border(x, cfg.window_len) if pw else (None, x)
     if (a := first.get(cfg.clip_ratio_db)) is None:
         a = first[cfg.clip_ratio_db] = threshold_from_ratio(inner, cfg.clip_ratio_db)
         a.flags.writeable = False
-    del inner  # for cf and none, mag = None frees |x| after the first clip
+    del inner
     if pw and (found := first.get((cfg.clip_ratio_db, cfg.window_len))) is None:
         found = first[cfg.clip_ratio_db, cfg.window_len] = _kernels._peaks(mag, a)
         found[0].flags.writeable = False
@@ -303,8 +305,7 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: d
             if not above:
                 return
         else:
-            above = _clip(x, np.abs(x) if mag is None else mag, a)
-            mag = None  # stale after the clip
+            above = _clip(x, None, a)
             if cfg.strategy == "cf":
                 _oob_filter(x, ofdm.n_subcarriers)
         yield x, above
@@ -336,8 +337,7 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     if not np.isfinite(symbol).all():
         raise ValueError("symbol must be finite (no NaN or inf bins)")
     x = synthesize(symbol, ofdm.oversample)
-    papr = [papr_db(x)]
-    count = 0
+    papr, count = [papr_db(x)], 0
     for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm, {}):
         count += above
         papr.append(papr_db(x))

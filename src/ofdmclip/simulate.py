@@ -4,7 +4,7 @@ RNG contract v2.  Stream s (0 = data bits, 1 = channel noise) of OFDM
 symbol i under ``seed`` is Philox4x64-10 (Salmon et al., SC11) with key
 (seed, s) and counters (w, i, 0, 0), w = 1, 2, ...: the raw words of
 ``np.random.Philox(key=seed | s << 64, counter=i << 64)``, the reference
-generator ``substream`` builds for tests.  ``_words`` computes a whole block.
+generator ``substream`` builds for tests.  ``_words`` computes many symbols.
 Bit j of symbol i is bit j % 64, low bit first, of bits word j // 64.  With
 u = (word >> 11) * 2**-53 on its noise words, complex normal j is
 r*cos(t) + 1j*(r*sin(t)), r = sqrt(-2*log1p(-u[2j])), t = 2*pi*u[2j+1], so
@@ -19,23 +19,27 @@ One work unit, the block: ``_run_blocks`` cuts symbols into blocks of whole
 rows, at most ``_BLOCK_SAMPLES`` samples (or one row) and ceil(n_symbols /
 workers) rows, ``workers`` capped at the usable CPUs.  The data bits are
 drawn once per span of whole blocks (``_span_blocks``), so one Philox pass
-serves ~21 blocks with no temporary larger than a block; only the span's
-labels outlive the draw.  ``_block`` takes its rows' labels, synthesizes
-them once and, for SER, draws their noise once.  Then one loop runs each
-crest config and measures it before the next: its PAPR, or its symbol
-errors, from one FFT and a test of the in-band bins plus each SNR point's
-scaling of the one noise draw against the sent levels, with no demap.  The
-configs share the block's first look, its levels and first peak search.  The
-clip loop and the receiver's FFT both write in place, in rows chosen by one
+serves ~21 blocks with no temporary larger than a block; only its words
+outlive it, and each block labels its own rows from them (``_labels``).
+``_block`` takes its rows' labels, synthesizes them once and, for SER,
+draws their noise once.  Then one loop runs each crest config and measures
+it before the next: its PAPR, or its symbol errors, from one FFT and a test
+of the in-band bins plus each SNR point's scaling of the one noise draw
+against the sent levels, with no demap.  The configs share the block's
+first look, its levels and first peak search.  The clip loop and the
+receiver's FFT both write in place, in rows chosen by one
 rule: the last config, and for PAPR a config that writes nothing, get the
 synthesized rows themselves; every other config gets one copy.  So a
 one-config block holds its rows once.  Every temporary is at most
-block-sized, whatever the run, the configs or N*L.  Serial runs (one
+block-sized, whatever the run, the configs or N*L.  The driver's fold
+takes each block's result as it comes: ``papr_samples`` writes it into one
+preallocated result, ``ser_errors`` adds its counts.  Serial runs (one
 worker, one CPU, one block or no ``os.fork``) go block by block in this
 process; otherwise the blocks are cut into one contiguous share per worker,
-each run in a child forked for it (``_fork``, loaded only then) and sent
-back pickled through a pipe, in index order; no run imports
-``concurrent.futures`` or ``multiprocessing``.  Before either,
+each run in a child forked for it (``_fork``, loaded only then), which
+folds its share and sends the result pickled through a pipe, folded in
+share order.  No run imports ``concurrent.futures`` or
+``multiprocessing``.  Before either,
 ``_run_blocks`` frees one three-block allocation, which raises glibc's
 malloc thresholds for the process and the children it forks, so no block
 frees memory the next one faults back in.
@@ -91,8 +95,7 @@ def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
     reference the engine's draws are tested against; the engine never
     builds one."""
     key = _check_u64(seed, "seed") | stream_kind << 64
-    return np.random.Generator(
-        np.random.Philox(key=key, counter=_check_u64(index, "index") << 64))
+    return np.random.Generator(np.random.Philox(key=key, counter=_check_u64(index, "index") << 64))
 
 
 def bits_rng(seed: int, index: int) -> np.random.Generator:
@@ -121,8 +124,8 @@ def _mulhilo(x):
 
 
 def _words(seed: int, kind: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """(hi - lo, n) uint64: the first ``n`` raw words of stream ``kind`` of
-    symbols lo..hi, ``substream(seed, kind, i).bit_generator.random_raw(n)``."""
+    """(hi - lo, n) little-endian uint64, C-contiguous: the first ``n`` raw words
+    of stream ``kind`` of symbols lo..hi, ``substream(...).random_raw(n)``."""
     blocks = -(-n // 4)
     a = np.zeros((2, hi - lo, blocks), dtype=np.uint64)
     b = np.zeros_like(a)
@@ -133,7 +136,8 @@ def _words(seed: int, kind: int, lo: int, hi: int, n: int) -> np.ndarray:
         high, low = _mulhilo(a)
         a, b = high[::-1] ^ b ^ key, low[::-1]
         key = key + _PHILOX_BUMP
-    return np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(hi - lo, -1)[:, :n]
+    words = np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(hi - lo, -1)[:, :n]
+    return np.ascontiguousarray(words, "<u8")
 
 
 def _normals(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
@@ -148,13 +152,21 @@ def _normals(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     return z
 
 
+def _row_bits(ofdm: OfdmConfig) -> int:
+    """A symbol's data bits, N*k, in ceil(N*k / 64) words."""
+    return ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
+
+
+def _labels(ofdm: OfdmConfig, words: np.ndarray) -> np.ndarray:
+    """The labels of the rows whose bit words (``_words``) are ``words``."""
+    k = constellation(ofdm.mod_order).bits_per_symbol
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=_row_bits(ofdm), bitorder="little")
+    return bits_to_labels(bits.ravel(), k).reshape(len(words), ofdm.n_subcarriers)
+
+
 def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
     """Symbols lo..hi's random bits, packed MSB-first into constellation labels."""
-    k = constellation(ofdm.mod_order).bits_per_symbol
-    n_bits = ofdm.n_subcarriers * k
-    words = _words(seed, _BITS_STREAM, lo, hi, -(-n_bits // 64)).astype("<u8")
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_bits, bitorder="little")
-    return bits_to_labels(bits.ravel(), k).reshape(hi - lo, ofdm.n_subcarriers)
+    return _labels(ofdm, _words(seed, _BITS_STREAM, lo, hi, -(-_row_bits(ofdm) // 64)))
 
 
 def _error_masks(bins, labels, axes, z, scales):
@@ -198,10 +210,10 @@ def _cpus() -> int:
 
 
 def _span_blocks(ofdm: OfdmConfig) -> int:
-    """Blocks per bit draw: the most whose unpacked bits, N*k bytes a row, fit
-    in one block's complex rows, 16*N*L bytes a row; at least one."""
-    n_bits = ofdm.n_subcarriers * constellation(ofdm.mod_order).bits_per_symbol
-    return max(1, 16 * ofdm.n_samples // n_bits)
+    """Blocks per Philox pass over the data bits: the most whose bits, a byte
+    each, would fit in one block's complex rows (16*N*L bytes a row); at
+    least one.  The span keeps only the pass's words, N*k/8 bytes a row."""
+    return max(1, 16 * ofdm.n_samples // _row_bits(ofdm))
 
 
 def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
@@ -212,7 +224,7 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     symbol errors at every point, shape (configs, points).  A config works
     in a copy of the synthesized rows only when it writes them (a clip pass,
     or the SER receiver's FFT) and a later config reads them; at 32768
-    samples one ``cf`` config's tracemalloc peak is 2.1 blocks of complex
+    samples one ``cf`` config's tracemalloc peak is 1.7 blocks of complex
     rows (3.4 with a copy for every config).  So every config's rows equal the
     synthesized rows when its clip loop starts, and the configs share one
     first look, ``first``, freed with the block (``crest._clip_loop``)."""
@@ -229,11 +241,14 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     return np.stack(out)
 
 
-def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int):
-    """Every block's result in symbol order, each with a leading config axis,
-    and whether the caller asked for that axis.  ``clip_cfg`` follows the
-    drivers' one rule: a list or tuple holds the configs and asks for the
-    axis; one config or ``None`` stands alone and does not."""
+def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int,
+                start, fold):
+    """The run's result and whether the caller asked for a config axis.
+    Symbols lo..hi start from ``start((configs, hi - lo))`` and take each
+    block's result by ``out = fold(out, at, part)``, ``at`` its first symbol
+    less lo; forked shares are folded in the same way, in share order.
+    ``clip_cfg`` follows the drivers' one rule: a list or tuple holds the
+    configs and asks for the axis; one config or ``None`` does not."""
     many = isinstance(clip_cfg, (list, tuple))
     clip_cfgs = tuple(clip_cfg) if many else (clip_cfg,)
     if not clip_cfgs:
@@ -255,13 +270,12 @@ def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int)
     span = rows * _span_blocks(ofdm)
 
     def run(lo, hi):
-        out = []
+        out = start((len(clip_cfgs), hi - lo))
         for s in range(lo, hi, span):
-            e = min(s + span, hi)
-            labels = _draw_labels(ofdm, seed, s, e)
-            out += [_block(ofdm, clip_cfgs, snr_db, seed, b, labels[b - s:b - s + rows])
-                    for b in range(s, e, rows)]
-            del labels  # freed before the next span's draw
+            words = _words(seed, _BITS_STREAM, s, min(s + span, hi), -(-_row_bits(ofdm) // 64))
+            for b in range(s, s + len(words), rows):
+                labels = _labels(ofdm, words[b - s:b - s + rows])
+                out = fold(out, b - lo, _block(ofdm, clip_cfgs, snr_db, seed, b, labels))
         return out
 
     blocks = -(-n_symbols // rows)
@@ -270,7 +284,14 @@ def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int)
         return run(0, n_symbols), many
     from . import _fork  # only a parallel run loads the fork runner
     cuts = [min(rows * (blocks * k // n), n_symbols) for k in range(n + 1)]
-    return _fork.fork_shares(run, list(zip(cuts, cuts[1:]))), many
+    out = start((len(clip_cfgs), n_symbols))
+    return _fork.fork_shares(run, list(zip(cuts, cuts[1:])), fold, out), many
+
+
+def _place(out, at, part):
+    """``papr_samples``' fold: a block's PAPR rows into the result at ``at``."""
+    out[:, at:at + part.shape[1]] = part
+    return out
 
 
 def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
@@ -282,8 +303,7 @@ def papr_samples(ofdm: OfdmConfig, clip_cfg, n_symbols: int,
     the symbols are drawn and synthesized once and every config runs on them,
     so each row is byte-equal to the single-config call.
     """
-    blocks, many = _run_blocks(ofdm, clip_cfg, None, n_symbols, seed, workers)
-    out = np.concatenate(blocks, axis=1)
+    out, many = _run_blocks(ofdm, clip_cfg, None, n_symbols, seed, workers, np.empty, _place)
     return out if many else out[0]
 
 
@@ -306,6 +326,7 @@ def ser_errors(ofdm: OfdmConfig, clip_cfg, snr_db, n_symbols: int, seed: int,
     if grid.size == 0:
         raise ValueError("need at least one SNR point")
     _check_snr(grid)
-    blocks, many = _run_blocks(ofdm, clip_cfg, grid.reshape(-1), n_symbols, seed, workers)
-    counts = np.sum(blocks, axis=0).reshape(-1, *grid.shape)
+    counts, many = _run_blocks(ofdm, clip_cfg, grid.reshape(-1), n_symbols, seed, workers,
+                               lambda shape: 0, lambda total, at, part: total + part)
+    counts = counts.reshape(-1, *grid.shape)
     return counts if many else counts[0] if grid.ndim else int(counts[0])

@@ -268,9 +268,9 @@ def test_c10_cli_byte_determinism_across_parallelism(tmp_path, capsys, monkeypat
     t0 = time.perf_counter()
     runs = []  # children forked, per parallel run
 
-    def counting_forks(run, shares):
+    def counting_forks(run, shares, *fold):
         runs.append(len(shares))
-        return fork_shares(run, shares)
+        return fork_shares(run, shares, *fold)
 
     fork_shares = _fork.fork_shares
     monkeypatch.setattr(_fork, "fork_shares", counting_forks)

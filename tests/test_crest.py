@@ -32,6 +32,22 @@ def with_sample(x, index, value):
     return x
 
 
+# --- _border -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n, window_len, pad", [
+    (16, 1, 1), (16, 3, 1), (16, 11, 5), (16, 31, 15), (16, 255, 15), (2, 11, 1), (1, 11, 1),
+], ids=["w1", "pad1", "half", "half-is-n-1", "n-1", "n2", "n1"])
+def test_border_is_minus_one_around_the_magnitudes(monkeypatch, n, window_len, pad):
+    # pad = max(1, min(window_len // 2, n - 1)); np.empty is NaN-filled here,
+    # so a column _border leaves unwritten shows
+    x = random_signal(np.random.default_rng(n * window_len), 3 * n).reshape(3, n)
+    monkeypatch.setattr(np, "empty", lambda shape, *args, **kw: np.full(shape, np.nan, *args, **kw))
+    mag, inner = crest._border(x, window_len)
+    assert mag.shape == (3, n + 2 * pad) and np.shares_memory(mag, inner)
+    assert inner.tobytes() == mag[:, pad:pad + n].tobytes() == np.abs(x).tobytes()
+    assert (mag[:, :pad] == -1.0).all() and (mag[:, pad + n:] == -1.0).all()
+
+
 # --- threshold_from_ratio ---------------------------------------------------
 
 def test_threshold_unit_rms():
