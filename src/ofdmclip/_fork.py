@@ -5,6 +5,7 @@ process pool's import, start-up and shutdown cost several times these forks
 neither traverse them nor write their pages."""
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -61,6 +62,8 @@ def fork_shares(run, shares, fold, out):
         for pipe in pipes:
             pipe.close()
         for pid in pids:  # only when this process raised: kill what is left
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # a child reaped just before an interrupt is still listed: skip it
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return out

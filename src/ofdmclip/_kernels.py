@@ -81,7 +81,8 @@ def peak_suppress(x, mag, thresh, w, found=None) -> int:
     threshold before the call, 0 exactly when there is no peak: a row with a
     sample above it always has one, its leftmost maximum.  ``found``, when
     given, is ``_peaks(mag, thresh)``, taken before and not taken again."""
-    n, width = x.shape[1], mag.shape[1]
+    n = x.shape[1]
+    width = mag.shape[1]
     pad = (width - n) // 2
     half = (w.size - 1) // 2
     reach = min(half, pad)  # no shift past it lands inside the row
@@ -92,7 +93,8 @@ def peak_suppress(x, mag, thresh, w, found=None) -> int:
     shift = np.arange(reach, -reach - 1, -1)[:, None]  # d - half, d descending
     b = np.bincount((peaks + shift).ravel(), (depth * w[half + shift]).ravel(),
                     minlength=mag.size).reshape(mag.shape)
-    b[:, :pad] = b[:, pad + n:] = 0.0
+    b[:, :pad] = 0.0
+    b[:, pad + n:] = 0.0
     at = np.flatnonzero(b != 0.0)  # a bool mask: flatnonzero on floats is far slower
     gain = 1.0 - np.minimum(b.reshape(-1)[at], 1.0)
     del b

@@ -102,7 +102,8 @@ def _configs(args, parser):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)

@@ -337,7 +337,8 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     if not np.isfinite(symbol).all():
         raise ValueError("symbol must be finite (no NaN or inf bins)")
     x = synthesize(symbol, ofdm.oversample)
-    papr, count = [papr_db(x)], 0
+    papr = [papr_db(x)]
+    count = 0
     for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm, {}):
         count += above
         papr.append(papr_db(x))

@@ -52,6 +52,12 @@ def _gray_axis_levels(n_bits: int) -> np.ndarray:
     return levels
 
 
+def _build_points(m: int) -> np.ndarray:
+    i_bits, q_bits = _AXIS_BITS[m]
+    pts = (_gray_axis_levels(i_bits)[:, None] + 1j * _gray_axis_levels(q_bits)).ravel()
+    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number: a bool, a complex number, an array
     or a string is not."""
@@ -86,11 +92,7 @@ def constellation(m: int) -> Constellation:
 
 @lru_cache(maxsize=None)
 def _constellation(m: int) -> Constellation:
-    """The unit-energy constellation of a supported order, built once, its
-    points read-only."""
-    i_bits, q_bits = _AXIS_BITS[m]
-    pts = (_gray_axis_levels(i_bits)[:, None] + 1j * _gray_axis_levels(q_bits)).ravel()
-    pts /= np.sqrt(np.mean(np.abs(pts) ** 2))
+    pts = _build_points(m)
     pts.setflags(write=False)
     return Constellation(order=m, points=pts, bits_per_symbol=m.bit_length() - 1)
 

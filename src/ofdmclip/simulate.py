@@ -95,7 +95,8 @@ def substream(seed: int, stream_kind: int, index: int) -> np.random.Generator:
     reference the engine's draws are tested against; the engine never
     builds one."""
     key = _check_u64(seed, "seed") | stream_kind << 64
-    return np.random.Generator(np.random.Philox(key=key, counter=_check_u64(index, "index") << 64))
+    return np.random.Generator(
+        np.random.Philox(key=key, counter=_check_u64(index, "index") << 64))
 
 
 def bits_rng(seed: int, index: int) -> np.random.Generator:

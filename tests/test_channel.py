@@ -139,9 +139,10 @@ def test_invalid_args(monkeypatch):
     for grid in ([10.0], [], np.array([4.0, 8.0])):
         with pytest.raises(ValueError, match="one SNR point"):
             awgn(carrier(), grid, seed=1)
-    # the SNR input is checked before any symbol is drawn
+    # the SNR input is checked before any symbol is drawn: every draw, bits
+    # or noise, goes through simulate._words
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_draw_labels", None)
+        m.setattr(simulate, "_words", None)
         with pytest.raises(ValueError, match="at least one SNR point"):
             ser_errors(OfdmConfig(), None, [], 10, seed=1)
     for stream in (1.5, -1, 2**64):

@@ -5,7 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -75,23 +74,6 @@ def test_more_iterations_lower_ccdf_point(tmp_path, capsys):
         return float(line.split("ccdf3_papr_db=")[1])
 
     assert ccdf3("5") < ccdf3("1")
-
-
-def test_ccdf_memory_grows_by_the_result_and_one_sort(tmp_path, capsys):
-    # blocks are folded into one result as they come, so past a small run the
-    # peak grows by at most the result and one sort copy, 16 B a symbol
-    def peak(n):
-        tracemalloc.start()
-        try:
-            run(tmp_path, "ccdf", "--iterations", "0", "--symbols", str(n),
-                "--out", str(tmp_path / "m.csv"))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(3000)  # caches filled first
-    small, large = peak(3000), peak(30000)
-    assert large - small <= 16 * (30000 - 3000)
 
 
 def test_clip_none_runs(tmp_path):

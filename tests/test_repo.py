@@ -10,8 +10,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ofdmclip"
 # code lines of src/ofdmclip; a change that adds code raises this in its diff.
 # 861 -> 871: a block's configs share one first look (its levels and first
-# peak search), and ClipConfig and WindowKind check and keep float parameters
-CODE_LINE_BUDGET = 871
+# peak search), and ClipConfig and WindowKind check and keep float parameters.
+# 871 -> 880: each block labels its own rows from the span's Philox words and
+# the drivers fold blocks into one result as they come (simulate), the PAPR
+# adds its squares a chunk of rows at a time (_kernels), and the fork runner
+# still kills and reaps every child when one was reaped before an interrupt
+CODE_LINE_BUDGET = 880
 _LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
 
 

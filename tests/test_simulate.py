@@ -722,6 +722,34 @@ def test_each_share_is_unpickled_and_folded_before_the_next(monkeypatch):
     assert no_children_left()
 
 
+@FORKS
+def test_an_interrupt_after_a_reap_still_kills_and_reaps_the_rest(monkeypatch):
+    # the interrupt lands after a child is reaped and before it leaves the
+    # list: the kill of that reaped child must not stop the others' kill
+    import time
+
+    class Interrupted(Exception):
+        pass
+
+    waitpid, reaped = os.waitpid, []
+
+    def reap_then_interrupt(pid, options):
+        out = waitpid(pid, options)
+        if not reaped:
+            reaped.append(pid)
+            raise Interrupted
+        return out
+
+    start = time.monotonic()
+    with monkeypatch.context() as m:
+        m.setattr(os, "waitpid", reap_then_interrupt)
+        with pytest.raises(Interrupted):
+            _fork.fork_shares(lambda lo, hi: time.sleep(60) if lo else [],
+                              [(0, 1), (1, 2), (2, 3)], lambda out, lo, part: out, [])
+    assert time.monotonic() - start < 30
+    assert reaped and no_children_left()
+
+
 def test_clip_loop_runs_no_boundary_check(monkeypatch):
     # the rows are checked once, by threshold_from_ratio; every iteration
     # runs only the in-place cores
@@ -892,8 +920,8 @@ def test_grid_and_sequence_validation(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a symbol was drawn before the SNR input was checked")
 
-    with monkeypatch.context() as m:
-        m.setattr(simulate, "_draw_labels", no_draw)
+    with monkeypatch.context() as m:  # every draw, bits or noise, goes through _words
+        m.setattr(simulate, "_words", no_draw)
         for empty in ([], np.array([])):
             with pytest.raises(ValueError, match="at least one SNR point"):
                 ser_errors(OFDM, None, empty, 10, seed=1)
