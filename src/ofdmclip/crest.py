@@ -19,15 +19,16 @@ then an in-place core (``_clip``, ``_oob_filter``, ``_kernels.peak_suppress``)
 that checks nothing.  One clip loop, ``_clip_loop``, serves the Monte Carlo
 drivers and ``rcf``: it checks its rows and levels once, in
 ``threshold_from_ratio``, then runs only the cores, in place in the rows it
-is given, and yields them after each pass, with the count of samples above
-A that the pass's core found before it: ``_clip`` and
-``_kernels.peak_suppress`` both decide "above A" on the |x| they read and
-return that count, so no caller decides it again.  It takes no copy: the
-drivers' ``simulate._block`` decides which rows each config works in, and
-``rcf`` gives it its own synthesized row and builds its ClipReport from
-every pass, summing the counts.  A clip scales by a/|x| <= 1, the OOB
-filter and a peak-window gain keep finite rows finite, and a row a pass
-erases is caught by the PAPR or power measurement.
+is given, and after each pass yields the count of samples above A that the
+pass's core found before it: ``_clip`` and ``_kernels.peak_suppress`` both
+decide "above A" on the |x| they read and return that count, so no caller
+decides it again.  The rows belong to the caller, so the loop yields no
+reference to them and holds none once it is drained.  It takes no copy: the
+drivers' ``simulate._block`` decides which rows each config works in and
+drains the loop itself, and ``rcf`` gives it its own synthesized row and
+builds its ClipReport from every pass, summing the counts.  A clip scales
+by a/|x| <= 1, the OOB filter and a peak-window gain keep finite rows
+finite, and a row a pass erases is caught by the PAPR or power measurement.
 
 The peak window reads |x| from a float buffer whose rows carry -1 border
 columns (``_border``), so the peak search needs no row-end bookkeeping.  A
@@ -259,14 +260,16 @@ def _check_configs(ofdm, *clip_cfgs) -> None:
 
 def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: dict):
     """The clip loop in place in the C-contiguous rows ``x`` (rows, n), no
-    pass for ``cfg`` None: yields (x, above) after each pass, with the levels
-    A (rows,) held fixed: those in ``first``, or taken from the |x| it is
-    given by threshold_from_ratio and its checks.  The caller owns the copy,
-    if one is needed: the drivers' ``_block`` gives a copy only to a config
-    that writes while a later one reads the synthesized rows, and ``rcf`` its
-    own synthesized row.  ``above`` is the count of samples above A before
-    the pass, as the pass's core (``_clip`` or ``_kernels.peak_suppress``)
-    found them.
+    pass for ``cfg`` None: yields ``above`` after each pass, the count of
+    samples above A before the pass, as the pass's core (``_clip`` or
+    ``_kernels.peak_suppress``) found them, with the levels A (rows,) held
+    fixed: those in ``first``, or taken from the |x| it is given by
+    threshold_from_ratio and its checks.  The caller owns the rows and the
+    copy, if one is needed, and reads the rows itself: the drivers' ``_block``
+    gives a copy only to a config that writes while a later one reads the
+    synthesized rows, and ``rcf`` its own synthesized row.  Yielding only the
+    count keeps the rows free of the loop: a caller that drains it holds them
+    through no loop variable.
 
     ``first`` is the block's first look, shared by its configs and kept
     read-only: the levels by clip ratio, and the first pass's peak search
@@ -308,17 +311,7 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: d
             above = _clip(x, None, a)
             if cfg.strategy == "cf":
                 _oob_filter(x, ofdm.n_subcarriers)
-        yield x, above
-
-
-def _rcf_rows(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: dict) -> np.ndarray:
-    """The Monte Carlo drivers' crest reduction, in place in the rows ``x``:
-    returns ``x``, after the clip loop's last pass, or as it was when no pass
-    ran.  ``simulate._block`` decides which rows it gets and hands every
-    config the block's one first look, ``first``."""
-    for _ in _clip_loop(x, cfg, ofdm, first):
-        pass
-    return x
+        yield above
 
 
 def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
@@ -339,7 +332,7 @@ def rcf(symbol: np.ndarray, cfg: ClipConfig, ofdm: OfdmConfig):
     x = synthesize(symbol, ofdm.oversample)
     papr = [papr_db(x)]
     count = 0
-    for _, above in _clip_loop(x.reshape(1, -1), cfg, ofdm, {}):
+    for above in _clip_loop(x.reshape(1, -1), cfg, ofdm, {}):
         count += above
         papr.append(papr_db(x))
     # the passes the loop skipped repeat the last PAPR and clip nothing

@@ -21,17 +21,19 @@ workers) rows, ``workers`` capped at the usable CPUs.  The data bits are
 drawn once per span of whole blocks (``_span_blocks``), so one Philox pass
 serves ~21 blocks with no temporary larger than a block; only its words
 outlive it, and each block labels its own rows from them (``_labels``).
-``_block`` takes its rows' labels, synthesizes them once and, for SER,
-draws their noise once.  Then one loop runs each crest config and measures
-it before the next: its PAPR, or its symbol errors, from one FFT and a test
-of the in-band bins plus each SNR point's scaling of the one noise draw
-against the sent levels, with no demap.  The configs share the block's
-first look, its levels and first peak search.  The clip loop and the
-receiver's FFT both write in place, in rows chosen by one
-rule: the last config, and for PAPR a config that writes nothing, get the
-synthesized rows themselves; every other config gets one copy.  So a
-one-config block holds its rows once.  Every temporary is at most
-block-sized, whatever the run, the configs or N*L.  The driver's fold
+``_block`` takes its rows' labels and synthesizes them once.  Then one
+loop runs each crest config, draining its clip loop, and measures it before
+the next: its PAPR, or for SER its mean powers and in-band bins, from one
+FFT.  The configs share the block's first look, its levels and first peak
+search.  The clip loop and the receiver's FFT both write in place, in rows
+chosen by one rule: the last config, and for PAPR a config that writes
+nothing, get the synthesized rows themselves; every other config gets one
+copy.  So a one-config block holds its rows once.  A SER block then frees
+its rows and first look, draws its noise once, and tests every config's
+in-band bins plus each SNR point's scaling of that one draw against the
+sent levels, with no demap.  Every temporary is at most block-sized,
+whatever the run, the configs or N*L; a SER block keeps each config's
+in-band bins, 1/L of a block each, until its test.  The driver's fold
 takes each block's result as it comes: ``papr_samples`` writes it into one
 preallocated result, ``ser_errors`` adds its counts.  Serial runs (one
 worker, one CPU, one block or no ``os.fork``) go block by block in this
@@ -55,7 +57,7 @@ import os
 import numpy as np
 
 from . import _kernels
-from .crest import _check_configs, _rcf_rows
+from .crest import _check_configs, _clip_loop
 from .metrics import _mean_power, papr_db
 from .modulation import _integral, bits_to_labels, constellation
 from .transform import OfdmConfig, analyze, extract_inband, synthesize
@@ -165,11 +167,6 @@ def _labels(ofdm: OfdmConfig, words: np.ndarray) -> np.ndarray:
     return bits_to_labels(bits.ravel(), k).reshape(len(words), ofdm.n_subcarriers)
 
 
-def _draw_labels(ofdm: OfdmConfig, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Symbols lo..hi's random bits, packed MSB-first into constellation labels."""
-    return _labels(ofdm, _words(seed, _BITS_STREAM, lo, hi, -(-_row_bits(ofdm) // 64)))
-
-
 def _error_masks(bins, labels, axes, z, scales):
     """For each noise scale s (rows, 1) in ``scales``, the (rows, n) mask of
     the bins of ``bins + s * z`` that some axis puts at or below the decision
@@ -190,12 +187,10 @@ def _error_masks(bins, labels, axes, z, scales):
         yield err
 
 
-def _symbol_errors(tx, labels, ofdm, snr_db, z) -> np.ndarray:
-    """Symbol errors of the transmitted rows ``tx`` at every SNR point: one
-    FFT, in place in ``tx``, then each point's error test on the in-band bins
+def _symbol_errors(power, bins, labels, ofdm, snr_db, z) -> np.ndarray:
+    """Symbol errors at every SNR point of the rows of mean powers ``power``
+    (rows, 1) and in-band bins ``bins``: each point's error test on the bins
     plus that point's scaling of the symbols' noise ``z``."""
-    power = _mean_power(tx, "SNR")[:, None]
-    bins = extract_inband(analyze(tx, out=tx), ofdm.n_subcarriers)
     scales = (np.sqrt(power / 10.0 ** (snr / 10.0) / 2.0) for snr in snr_db)
     masks = _error_masks(bins, labels, constellation(ofdm.mod_order).axes, z, scales)
     return np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
@@ -218,28 +213,39 @@ def _span_blocks(ofdm: OfdmConfig) -> int:
 
 
 def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
-    """One block, the symbols lo, lo+1, ... with constellation ``labels``:
-    synthesized once and, with an SNR grid, its noise drawn once (none when
-    every point is +inf).  Each crest config is run and measured before the
-    next: one row per config, of its PAPR, shape (configs, rows), or of its
-    symbol errors at every point, shape (configs, points).  A config works
-    in a copy of the synthesized rows only when it writes them (a clip pass,
-    or the SER receiver's FFT) and a later config reads them; at 32768
-    samples one ``cf`` config's tracemalloc peak is 1.7 blocks of complex
-    rows (3.4 with a copy for every config).  So every config's rows equal the
-    synthesized rows when its clip loop starts, and the configs share one
-    first look, ``first``, freed with the block (``crest._clip_loop``)."""
+    """One block, the symbols lo, lo+1, ... with constellation ``labels``,
+    synthesized once.  Each crest config's clip loop is drained here and the
+    config measured before the next: one row per config, of its PAPR, shape
+    (configs, rows), or of its symbol errors at every point, shape (configs,
+    points).  A config works in a copy of the synthesized rows only when it
+    writes them (a clip pass, or the SER receiver's FFT) and a later config
+    reads them.  So every config's rows equal the synthesized rows when its
+    clip loop starts, and the configs share one first look, ``first``
+    (``crest._clip_loop``).  With an SNR grid each config keeps only its
+    mean powers and in-band bins; the rows and the first look are freed
+    before the block's noise is drawn, once (zeros when every point is
+    +inf), and every kept config tested against it.  At 32768 samples one
+    ``cf`` config's tracemalloc peak is 1.7 blocks of complex rows, for PAPR
+    and for SER at 8 points alike (3.4 with a copy for every config; SER
+    2.44 when the rows stayed alive through the error test)."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
-    z = (None if snr_db is None else np.zeros(labels.shape, dtype=np.complex128)
-         if np.isposinf(snr_db).all() else _normals(seed, lo, lo + len(x), ofdm.n_subcarriers))
     out, first = [], {}
     for k, cfg in enumerate(clip_cfgs, 1):
         # by position, not by config, as one config may repeat
-        copy = k < len(clip_cfgs) and (z is not None or cfg is not None and cfg.iterations > 0)
-        tx = _rcf_rows(x.copy() if copy else x, cfg, ofdm, first)
-        out.append(papr_db(tx) if z is None else _symbol_errors(tx, labels, ofdm, snr_db, z))
+        copy = k < len(clip_cfgs) and (snr_db is not None or cfg is not None and cfg.iterations > 0)
+        tx = x.copy() if copy else x
+        for _ in _clip_loop(tx, cfg, ofdm, first):
+            pass
+        # for SER, the receiver's FFT in place: only the powers and in-band bins are kept
+        out.append(papr_db(tx) if snr_db is None else (_mean_power(tx, "SNR")[:, None],
+                   extract_inband(analyze(tx, out=tx), ofdm.n_subcarriers)))
         del tx  # freed before the next config's copy
-    return np.stack(out)
+    if snr_db is None:
+        return np.stack(out)
+    del x, first  # no rows are alive while the noise is drawn and tested
+    z = (np.zeros(labels.shape, dtype=np.complex128) if np.isposinf(snr_db).all()
+         else _normals(seed, lo, lo + len(labels), ofdm.n_subcarriers))
+    return np.stack([_symbol_errors(*kept, labels, ofdm, snr_db, z) for kept in out])
 
 
 def _run_blocks(ofdm, clip_cfg, snr_db, n_symbols: int, seed: int, workers: int,

@@ -134,12 +134,12 @@ def test_window_sweep_runs_the_baseline_first(tmp_path, monkeypatch):
         synthesized.append(_fn(*args))
         return synthesized[-1]
 
-    def rcf_rows(x, cfg, *args, _fn=simulate._rcf_rows):
+    def clip_loop(x, cfg, *args, _fn=simulate._clip_loop):
         calls.append((cfg, x is synthesized[-1]))
         return _fn(x, cfg, *args)
 
     monkeypatch.setattr(simulate, "synthesize", synthesize)
-    monkeypatch.setattr(simulate, "_rcf_rows", rcf_rows)
+    monkeypatch.setattr(simulate, "_clip_loop", clip_loop)
     run(tmp_path, "window-sweep", "--symbols", "20", "--out", str(tmp_path / "w.csv"))
     assert len(synthesized) == 1
     assert [cfg is None for cfg, _ in calls] == [True] + [False] * len(SWEEP_WINDOWS)
