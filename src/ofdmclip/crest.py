@@ -136,21 +136,20 @@ def threshold_from_ratio(signal: np.ndarray, clip_ratio_db: float) -> float | np
     return float(a) if a.ndim == 0 else a
 
 
-def _work_rows(signal, a, window_len=None):
-    """``clip``'s and ``peak_window_suppress``'s boundary check: a work copy x, |x|
-    and one level per row; a scalar, a level not > 0 or NaN or inf raise ValueError.
-    Given a ``window_len``, |x| is ``_border``'s buffer, with |x| in its interior."""
+def _work_rows(signal, a):
+    """``clip``'s and ``peak_window_suppress``'s boundary check: a work copy x and
+    one level per row; a scalar, a level not > 0 or NaN or inf raise ValueError."""
     x = np.array(signal, dtype=np.complex128, order="C")
     if x.ndim == 0:
         raise ValueError("signal needs rows of samples, got a scalar")
-    mag = np.abs(x) if window_len is None else _border(x, window_len)[0]
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise ValueError(f"clipping level must be positive, got {a[~(a > 0)].flat[0]}")
-    # max propagates NaN and inf, so one reduction checks every sample
-    if not np.isfinite(mag.max(initial=0.0)):
+    # max propagates NaN and inf, and |x| of a finite sample may overflow to
+    # inf, where a clip would scale it to 0: one reduction refuses them all
+    if not np.isfinite(np.abs(x).max(initial=0.0)):
         raise ValueError("signal must be finite (no NaN or inf samples)")
-    return x, mag, np.broadcast_to(a, x.shape[:-1])
+    return x, np.broadcast_to(a, x.shape[:-1])
 
 
 def _border(x: np.ndarray, window_len: int):
@@ -174,29 +173,28 @@ def clip(signal: np.ndarray, a) -> np.ndarray:
     is nudged until np.abs certifies it <= a, so re-clipping is a bit-exact
     no-op.
     """
-    x, mag, a = _work_rows(signal, a)
-    _clip(x, mag, a)
+    x, a = _work_rows(signal, a)
+    _clip(x, a)
     return x
 
 
-def _clip(x: np.ndarray, mag: np.ndarray | None, a: np.ndarray) -> int:
-    """``clip`` in place on ``x``, given mag = |x| (None: taken here and freed
-    before the rescale) and the levels ``a``, one per row; no checks.
-    Returns the number of samples it found above their level."""
-    mag = np.abs(x) if mag is None else mag
+def _clip(x: np.ndarray, a: np.ndarray) -> int:
+    """``clip`` in place on ``x`` with the levels ``a``, one per row; no checks.
+    |x| is taken here and freed before the rescale.  Returns the number of
+    samples it found above their level."""
+    mag = np.abs(x)
     at = np.flatnonzero(mag > a[..., None])
     over, mag = mag.reshape(-1)[at], None  # |x| of the samples above their level
-    if at.size:
-        limit = a.reshape(-1)[at // x.shape[-1]]
-        scale = limit / over
-        flat = x.reshape(-1)
-        w = flat[at] * scale
-        bad = np.flatnonzero(np.abs(w) > limit)
-        while bad.size:
-            scale[bad] = np.nextafter(scale[bad], 0.0)
-            w[bad] = flat[at[bad]] * scale[bad]
-            bad = bad[np.abs(w[bad]) > limit[bad]]
-        flat[at] = w
+    limit = a.reshape(-1)[at // x.shape[-1]]
+    scale = limit / over
+    flat = x.reshape(-1)
+    w = flat[at] * scale
+    bad = np.flatnonzero(np.abs(w) > limit)
+    while bad.size:
+        scale[bad] = np.nextafter(scale[bad], 0.0)
+        w[bad] = flat[at[bad]] * scale[bad]
+        bad = bad[np.abs(w[bad]) > limit[bad]]
+    flat[at] = w
     return at.size
 
 
@@ -234,7 +232,8 @@ def peak_window_suppress(signal: np.ndarray, a, kind, window_len: int) -> np.nda
     unchanged, bit for bit.
     """
     window_len = _check_window_len(window_len, "window length")
-    x, mag, a = _work_rows(signal, a, window_len)
+    x, a = _work_rows(signal, a)
+    mag, _ = _border(x, window_len)
     _kernels.peak_suppress(x.reshape(mag.shape[0], x.shape[-1]), mag, a.reshape(-1),
                            _coefficients(as_window_kind(kind), window_len))
     return x
@@ -296,7 +295,6 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: d
     if (a := first.get(cfg.clip_ratio_db)) is None:
         a = first[cfg.clip_ratio_db] = threshold_from_ratio(inner, cfg.clip_ratio_db)
         a.flags.writeable = False
-    del inner
     if pw and (found := first.get((cfg.clip_ratio_db, cfg.window_len))) is None:
         found = first[cfg.clip_ratio_db, cfg.window_len] = _kernels._peaks(mag, a)
         found[0].flags.writeable = False
@@ -308,7 +306,7 @@ def _clip_loop(x: np.ndarray, cfg: ClipConfig | None, ofdm: OfdmConfig, first: d
             if not above:
                 return
         else:
-            above = _clip(x, None, a)
+            above = _clip(x, a)
             if cfg.strategy == "cf":
                 _oob_filter(x, ofdm.n_subcarriers)
         yield above

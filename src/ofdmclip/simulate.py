@@ -223,11 +223,10 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     clip loop starts, and the configs share one first look, ``first``
     (``crest._clip_loop``).  With an SNR grid each config keeps only its
     mean powers and in-band bins; the rows and the first look are freed
-    before the block's noise is drawn, once (zeros when every point is
-    +inf), and every kept config tested against it.  At 32768 samples one
+    before the block's noise is drawn, once, and every kept config tested
+    against it; a +inf point scales the noise by 0.  At 32768 samples one
     ``cf`` config's tracemalloc peak is 1.7 blocks of complex rows, for PAPR
-    and for SER at 8 points alike (3.4 with a copy for every config; SER
-    2.44 when the rows stayed alive through the error test)."""
+    and for SER at 8 points alike."""
     x = synthesize(constellation(ofdm.mod_order).points[labels], ofdm.oversample)
     out, first = [], {}
     for k, cfg in enumerate(clip_cfgs, 1):
@@ -243,8 +242,7 @@ def _block(ofdm, clip_cfgs, snr_db, seed, lo, labels):
     if snr_db is None:
         return np.stack(out)
     del x, first  # no rows are alive while the noise is drawn and tested
-    z = (np.zeros(labels.shape, dtype=np.complex128) if np.isposinf(snr_db).all()
-         else _normals(seed, lo, lo + len(labels), ofdm.n_subcarriers))
+    z = _normals(seed, lo, lo + len(labels), ofdm.n_subcarriers)
     return np.stack([_symbol_errors(*kept, labels, ofdm, snr_db, z) for kept in out])
 
 

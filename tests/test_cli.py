@@ -241,6 +241,17 @@ def test_unwritable_path_exits_3(tmp_path, capsys):
     assert out in capsys.readouterr().err
 
 
+def test_failed_rename_exits_3_and_removes_its_temp_file(tmp_path, capsys):
+    # the CSV is written to a temporary file beside --out, then renamed onto
+    # it; a rename onto a directory fails, and the temporary file goes
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["ccdf", "--symbols", "20", "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_csv_mode_follows_umask(tmp_path, umask, mode):

@@ -123,6 +123,17 @@ def test_clip_cap_and_phase(rng):
     assert np.array_equal(y[small], x[small])
 
 
+def test_public_steps_refuse_a_magnitude_that_overflows(rng):
+    # both parts are finite, but |x| overflows to inf, which a clip would
+    # scale to 0 and a peak window attenuate to 0
+    x = with_sample(random_signal(rng, 16), 3, complex(1e308, 1.7e308))
+    assert np.isfinite(x).all() and not np.isfinite(np.abs(x)).all()
+    with pytest.raises(ValueError, match="finite"):
+        clip(x, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        peak_window_suppress(x, 1.0, "hann", 11)
+
+
 def test_clip_idempotent_bit_exact(rng):
     x = random_signal(rng, 50_000, scale=3.0)
     y = clip(x, 0.8)
@@ -168,8 +179,8 @@ def test_clip_matches_per_sample_oracle(rng):
         assert clip(strided, a).tobytes() == ref.tobytes(), name
         # the private step, in place on the boundary check's copy, counts the
         # samples above their row's level
-        inplace, mag, level = _work_rows(x, a)
-        assert _clip(inplace, mag, level) == np.count_nonzero(np.abs(x) > np.asarray(a)[..., None])
+        inplace, level = _work_rows(x, a)
+        assert _clip(inplace, level) == np.count_nonzero(np.abs(x) > np.asarray(a)[..., None])
         assert inplace.tobytes() == ref.tobytes(), name
     assert steps > 0  # the nudge was exercised
 

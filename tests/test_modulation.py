@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ofdmclip import (SUPPORTED_ORDERS, ClipConfig, OfdmConfig, constellation, demap_points,
                       map_bits, papr_samples, window)
+from ofdmclip.modulation import bits_to_labels
 
 ROOT2 = np.sqrt(2.0)
 
@@ -154,6 +155,13 @@ def test_bit_length_must_divide():
     for bits, m in (([0, 0, 1, 2], 16), ([2, 0, 0], 8), ([0, -1], 4), ([0.5], 2)):
         with pytest.raises(ValueError, match="0 or 1"):
             map_bits(bits, m)
+
+
+def test_bits_to_labels_refuses_rows_of_bits():
+    # the bits are one flat sequence; a 2-D array is refused, not flattened
+    with pytest.raises(ValueError, match="flat sequence"):
+        bits_to_labels(np.zeros((2, 4), dtype=np.uint8), 2)
+    assert bits_to_labels(np.zeros(8, dtype=np.uint8), 2).tolist() == [0] * 4
 
 
 def test_documented_tables_match_code():

@@ -762,11 +762,15 @@ def test_clip_loop_runs_no_boundary_check(monkeypatch):
     # the rows are checked once, by threshold_from_ratio; every iteration
     # runs only the in-place cores
     calls = []
-    for name in ("_work_rows", "_check_length", "_check_oversample"):
-        def counted(*args, _name=name, _fn=getattr(crest, name)):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(crest, name, counted)
+
+    def count(*names):
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(crest, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(crest, name, counted)
+
+    count("_work_rows", "_check_length", "_check_oversample")
     cfgs = [None] + [ClipConfig(3.0, 3, strategy) for strategy in STRATEGIES]
     papr_samples(OFDM, cfgs, 300, seed=1)
     ser_errors(OFDM, ClipConfig(), GRID, 300, seed=1)
@@ -776,6 +780,12 @@ def test_clip_loop_runs_no_boundary_check(monkeypatch):
     crest.clip(x, 1.0)
     crest.oob_filter(x, OFDM.n_subcarriers, OFDM.oversample)
     assert calls == ["_work_rows", "_check_length", "_check_oversample"]
+    # the public peak window checks its copy once, then borders it as the
+    # clip loop does
+    calls.clear()
+    count("_border")
+    crest.peak_window_suppress(x, 1.0, "hann", 11)
+    assert calls == ["_work_rows", "_border"]
 
 
 def test_clip_loop_works_in_the_rows_it_is_given(rng):
